@@ -2,8 +2,9 @@
 
 Only full-dimensional simplicial cones are supported as maximal cones; faces
 are derived on the fly, never stored.  All geometry is decided by exact
-rational arithmetic (integer cross products, adjugates and ``Fraction``
-solves), so validity and completeness verdicts are never approximate.
+integer arithmetic: facet normals are closed-form 3x3 cofactors (cross
+products of rays), and every test is the sign of a dot product with such a
+normal, so validity and completeness verdicts are never approximate.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Sequence
 
-from .lattice import Matrix, Vector, adjugate, det, is_primitive
+from .lattice import Matrix, Vector, det, is_primitive
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -64,12 +64,41 @@ def is_smooth(c: Cone) -> bool:
     return cone_multiplicity(c) == 1
 
 
-def inward_normals(c: Cone) -> tuple[Vector, Vector, Vector]:
-    """Integer facet normals: ``x`` lies in the cone iff every ``n . x >= 0``."""
-    m = c.ray_matrix()
-    d = det(m)
-    sign = 1 if d > 0 else -1
-    return tuple(tuple(sign * x for x in row) for row in adjugate(m))
+Normals = tuple[Vector, Vector, Vector]
+
+
+def _cross(a: Vector, b: Vector) -> Vector:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _facet_normals(rays: Sequence[Vector]) -> tuple[int, Normals]:
+    """Determinant of the ray matrix and the inward facet normals of its cone.
+
+    Row ``k`` of the adjugate of the matrix with columns ``r0, r1, r2`` is the
+    cross product of the other two rays, taken cyclically, so ``n_k . r_j`` is
+    ``det`` when ``j == k`` and 0 otherwise.  Flipping all three rows by the
+    sign of ``det`` makes them point inward.  For a degenerate triple the
+    determinant is 0 and the normals are meaningless.
+    """
+    r0, r1, r2 = rays
+    n0 = _cross(r1, r2)
+    d = r0[0] * n0[0] + r0[1] * n0[1] + r0[2] * n0[2]
+    normals = (n0, _cross(r2, r0), _cross(r0, r1))
+    if d < 0:
+        normals = tuple(tuple(-x for x in n) for n in normals)
+    return d, normals
+
+
+def inward_normals(c: Cone) -> Normals:
+    """Integer facet normals: ``x`` lies in the cone iff every ``n . x >= 0``.
+
+    ``n_k`` is the normal of the facet opposite ray ``k``.
+    """
+    return _facet_normals(c.rays)[1]
 
 
 def cone_contains(c: Cone, point: Sequence[Rational]) -> bool:
@@ -84,11 +113,8 @@ def classify_point(c: Cone, point: Sequence[Rational]) -> str:
     """
     if len(point) != 3:
         raise ValueError("point must have 3 coordinates")
-    m = c.ray_matrix()
-    d = det(m)
-    coords = [
-        Fraction(sum(a_ij * p_j for a_ij, p_j in zip(row, point)), d) for row in adjugate(m)
-    ]
+    # ray coordinate k is n_k . point / |det|, so it has the sign of n_k . point
+    coords = [sum(n_i * p_i for n_i, p_i in zip(n, point)) for n in inward_normals(c)]
     if any(t < 0 for t in coords):
         return OUTSIDE
     if all(t > 0 for t in coords):
@@ -147,72 +173,42 @@ class FanValidation:
         return not self.problems
 
 
-def _primitive_part(v: Vector) -> Vector:
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g else v
-
-
-def _cross(a: Vector, b: Vector) -> Vector:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _solve_nonneg_combination(rays: Sequence[Vector], v: Vector) -> bool:
-    """Is ``v`` a nonnegative rational combination of the given independent rays?"""
-    if not rays:
-        return all(x == 0 for x in v)
-    # Gaussian elimination over Fraction on the 3 x len(rays) system.
-    rows = [[Fraction(rays[j][i]) for j in range(len(rays))] + [Fraction(v[i])] for i in range(3)]
-    ncols = len(rays)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, 3) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    # rays are independent, so every column is a pivot; leftover rows must vanish
-    if len(pivots) != ncols:
-        return False
-    for i in range(r, 3):
-        if rows[i][-1] != 0:
-            return False
-    coeffs = [rows[i][-1] for i in range(ncols)]
-    return all(t >= 0 for t in coeffs)
-
-
-def _intersection_is_common_face(fan: Fan, ca: int, cb: int) -> bool:
+def _intersection_is_common_face(
+    fan: Fan, normals: Sequence[Normals | None], ca: int, cb: int
+) -> bool:
     """Exact check that two maximal cones intersect in the cone on their shared rays.
 
-    The intersection of the two simplicial cones is cut out by the 6 inward
-    facet normals; its extreme rays all arise as cross products of two of
-    those normals, so testing every such candidate for membership in the cone
-    spanned by the shared rays decides the face condition exactly.
+    ``normals[k]`` holds the inward facet normals of cone ``k``.  The
+    intersection of the two simplicial cones is cut out by their 6 normals;
+    each of its extreme rays is, up to sign, the cross product of two of them,
+    so it suffices to test every such candidate that satisfies all 6.  A
+    candidate ``x`` lies in cone A, so ``x = sum_k (n_k . x / |det A|) r_k``
+    with ``n_k`` the normal of A opposite ray ``k``; it lies in the cone on the
+    shared rays iff ``n_k . x == 0`` for every ray ``k`` of A that B does not
+    share.  Rays are shared by index, as in the fan's cone table.
     """
-    cone_a = fan.simplicial_cone(ca)
-    cone_b = fan.simplicial_cone(cb)
-    shared = sorted(set(fan.cones[ca]) & set(fan.cones[cb]))
-    shared_rays = [fan.rays[i] for i in shared]
-    normals = inward_normals(cone_a) + inward_normals(cone_b)
-    candidates: set[Vector] = set()
-    for n1, n2 in combinations(normals, 2):
-        d = _cross(n1, n2)
-        if d == (0, 0, 0):
-            continue
-        for cand in (d, tuple(-x for x in d)):
-            if all(sum(n_i * c_i for n_i, c_i in zip(n, cand)) >= 0 for n in normals):
-                candidates.add(_primitive_part(cand))
-    return all(_solve_nonneg_combination(shared_rays, cand) for cand in sorted(candidates))
+    all_normals = normals[ca] + normals[cb]
+    others = fan.cones[cb]
+    unshared = [all_normals[k] for k, i in enumerate(fan.cones[ca]) if i not in others]
+    for n, m in combinations(all_normals, 2):
+        x0, x1, x2 = _cross(n, m)
+        # x or -x is a candidate iff no two of the 6 dots have opposite signs
+        positive = negative = False
+        for n0, n1, n2 in all_normals:
+            t = n0 * x0 + n1 * x1 + n2 * x2
+            if t > 0:
+                if negative:
+                    break
+                positive = True
+            elif t < 0:
+                if positive:
+                    break
+                negative = True
+        else:
+            # x == 0 passes here, as all its dots are 0
+            if any(n0 * x0 + n1 * x1 + n2 * x2 for n0, n1, n2 in unshared):
+                return False
+    return True
 
 
 def validate_fan(fan: Fan) -> FanValidation:
@@ -227,12 +223,14 @@ def validate_fan(fan: Fan) -> FanValidation:
             problems.append(f"ray {i} duplicates ray {seen[ray]}")
         else:
             seen[ray] = i
-    degenerate: set[int] = set()
+    normals: list[Normals | None] = []
     for k, cone in enumerate(fan.cones):
-        m = tuple(zip(*fan.cone_rays(k)))
-        if det(m) == 0:
-            degenerate.add(k)
+        d, cone_normals = _facet_normals(fan.cone_rays(k))
+        if d == 0:
+            normals.append(None)
             problems.append(f"cone {list(cone)} is degenerate (rays linearly dependent)")
+        else:
+            normals.append(cone_normals)
     cone_sets = {}
     for k, cone in enumerate(fan.cones):
         key = frozenset(cone)
@@ -242,9 +240,9 @@ def validate_fan(fan: Fan) -> FanValidation:
             cone_sets[key] = k
     if not any("not primitive" in p for p in problems):
         for ca, cb in combinations(range(len(fan.cones)), 2):
-            if ca in degenerate or cb in degenerate:
+            if normals[ca] is None or normals[cb] is None:
                 continue
-            if not _intersection_is_common_face(fan, ca, cb):
+            if not _intersection_is_common_face(fan, normals, ca, cb):
                 problems.append(
                     f"cones {list(fan.cones[ca])} and {list(fan.cones[cb])} "
                     "do not intersect in a common face"
@@ -326,8 +324,11 @@ def fan_from_dict(data) -> Fan:
             raise FanFormatError(f"missing required field '{key}'")
     if not isinstance(data["name"], str):
         raise FanFormatError("'name' must be a string")
-    if data["dim"] != 3:
-        raise FanFormatError(f"'dim' must be 3, got {data['dim']!r}")
+    if type(data["dim"]) is not int or data["dim"] != 3:
+        raise FanFormatError(f"'dim' must be the integer 3, got {data['dim']!r}")
+    for key in ("rays", "cones"):
+        if not isinstance(data[key], list):
+            raise FanFormatError(f"'{key}' must be a list, got {type(data[key]).__name__}")
     rays = []
     for i, ray in enumerate(data["rays"]):
         if not isinstance(ray, list) or len(ray) != 3:

@@ -3,13 +3,16 @@
 Nothing in here calls into the library's normal-form or quotient machinery:
 determinants and adjugates are written out as explicit 3x3 cofactor formulas,
 lattice points are found by scanning the bounding box of the fundamental
-parallelepiped, and group structure is read off by literally iterating the
-group law.  Slow and dumb on purpose.
+parallelepiped, group structure is read off by literally iterating the group
+law, and fan validity is decided by ``Fraction`` Gaussian elimination.  Slow
+and dumb on purpose.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 
@@ -110,6 +113,128 @@ def random_valid_cone_rays(rng: random.Random, max_multiplicity: int = 12, span:
         if d == 0 or abs(d) > max_multiplicity:
             continue
         return rays
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def primitive_part(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else v
+
+
+def _inward_normals(rays):
+    cols = tuple(zip(*rays))
+    sign = 1 if det3(cols) > 0 else -1
+    return tuple(tuple(sign * x for x in row) for row in adj3(cols))
+
+
+def _solve_nonneg_combination(rays, v) -> bool:
+    """Is ``v`` a nonnegative rational combination of the given independent rays?"""
+    if not rays:
+        return all(x == 0 for x in v)
+    # Gaussian elimination over Fraction on the 3 x len(rays) system.
+    rows = [[Fraction(rays[j][i]) for j in range(len(rays))] + [Fraction(v[i])] for i in range(3)]
+    ncols = len(rays)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, 3) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(3):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    # rays are independent, so every column is a pivot; leftover rows must vanish
+    if len(pivots) != ncols:
+        return False
+    for i in range(r, 3):
+        if rows[i][-1] != 0:
+            return False
+    coeffs = [rows[i][-1] for i in range(ncols)]
+    return all(t >= 0 for t in coeffs)
+
+
+def intersection_is_common_face(rays, cone_a, cone_b) -> bool:
+    """Do two non-degenerate cones, given as ray-index triples, meet in the
+    cone on their shared ray indices?
+
+    Every extreme ray of the intersection is, up to sign, the cross product of
+    two of the 6 inward facet normals; each such candidate that satisfies all
+    6 is solved for as a nonnegative combination of the shared rays.
+    """
+    shared_rays = [rays[i] for i in sorted(set(cone_a) & set(cone_b))]
+    normals = _inward_normals([rays[i] for i in cone_a]) + _inward_normals(
+        [rays[i] for i in cone_b]
+    )
+    candidates = set()
+    for n1, n2 in combinations(normals, 2):
+        d = _cross(n1, n2)
+        if d == (0, 0, 0):
+            continue
+        for cand in (d, tuple(-x for x in d)):
+            if all(sum(n_i * c_i for n_i, c_i in zip(n, cand)) >= 0 for n in normals):
+                candidates.add(primitive_part(cand))
+    return all(_solve_nonneg_combination(shared_rays, cand) for cand in sorted(candidates))
+
+
+def fan_problems(rays, cones) -> list[str]:
+    """The violation list of a fan, in the order and wording of ``validate_fan``."""
+    problems = []
+    for i, ray in enumerate(rays):
+        if gcd(*ray) != 1:
+            problems.append(f"ray {i} = {list(ray)} is not primitive")
+    for i, ray in enumerate(rays):
+        if ray in rays[:i]:
+            problems.append(f"ray {i} duplicates ray {rays.index(ray)}")
+    degenerate = set()
+    for k, cone in enumerate(cones):
+        if det3(tuple(zip(*(rays[i] for i in cone)))) == 0:
+            degenerate.add(k)
+            problems.append(f"cone {list(cone)} is degenerate (rays linearly dependent)")
+    for k, cone in enumerate(cones):
+        first = next(j for j in range(k + 1) if set(cones[j]) == set(cone))
+        if first < k:
+            problems.append(f"cone {list(cone)} duplicates cone {list(cones[first])}")
+    if any(gcd(*ray) != 1 for ray in rays):
+        return problems
+    for ca, cb in combinations(range(len(cones)), 2):
+        if ca in degenerate or cb in degenerate:
+            continue
+        if not intersection_is_common_face(rays, cones[ca], cones[cb]):
+            problems.append(
+                f"cones {list(cones[ca])} and {list(cones[cb])} do not intersect in a common face"
+            )
+    return problems
+
+
+def stellar_fan(rng: random.Random, stars: int, span: int = 3):
+    """A complete simplicial fan: P^3's fan with ``stars`` random stellar subdivisions.
+
+    Each step replaces a random cone by the three cones joining its walls to
+    a primitive lattice point strictly inside it, so the fan stays complete
+    and every cone stays non-degenerate; cones need not stay smooth.
+    """
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    cones = [tuple(c) for c in combinations(range(4), 3)]
+    for _ in range(stars):
+        a, b, c = cones.pop(rng.randrange(len(cones)))
+        x, y, z = (rng.randint(1, span) for _ in range(3))
+        inside = tuple(x * p + y * q + z * s for p, q, s in zip(rays[a], rays[b], rays[c]))
+        rays.append(primitive_part(inside))
+        n = len(rays) - 1
+        cones += [(a, b, n), (a, n, c), (n, b, c)]
+    return rays, cones
 
 
 def random_matrix(rng: random.Random, rows: int = 3, cols: int = 3, span: int = 20):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toricctl import reference
 from toricctl.cli import main
 from toricctl.cones import fan_to_json, load_fan, make_fan
@@ -59,6 +61,37 @@ def test_check_fan_non_integer_entry(tmp_path, capsys):
     path.write_text('{"name": "x", "dim": 3, "rays": [[1, 0, 0.5]], "cones": []}')
     code, _, err = run(capsys, "check-fan", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ('"dim": 3, "rays": 5, "cones": []', "'rays' must be a list"),
+        ('"dim": 3, "rays": [], "cones": null', "'cones' must be a list"),
+        ('"dim": 3, "rays": {"a": 1}, "cones": []', "'rays' must be a list"),
+        ('"dim": 3, "rays": "abc", "cones": []', "'rays' must be a list"),
+        ('"dim": 3.0, "rays": [], "cones": []', "'dim' must be the integer 3"),
+        ('"dim": true, "rays": [], "cones": []', "'dim' must be the integer 3"),
+    ],
+    ids=["rays-number", "cones-null", "rays-object", "rays-string", "dim-float", "dim-bool"],
+)
+def test_check_fan_wrong_types(tmp_path, capsys, fields, expected):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "x", ' + fields + "}")
+    code, out, err = run(capsys, "check-fan", str(path))
+    assert code == 2
+    assert out == ""
+    assert expected in err and "Traceback" not in err
+
+
+def test_check_fan_empty_fan_is_the_trivial_fan(tmp_path, capsys):
+    path = write_fan(tmp_path, make_fan("empty", [], []))
+    code, out, _ = run(capsys, "check-fan", path, "--format", "json")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["valid"] is True and report["violations"] == []
+    assert report["complete"] is False and report["class_rank"] is None
+    assert report["rays"] == 0 and report["cones"] == []
 
 
 def test_check_fan_overlapping_cones(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toricctl.cones import (
     BOUNDARY,
@@ -22,6 +23,9 @@ from toricctl.cones import (
     make_fan,
     validate_fan,
 )
+from toricctl import cones
+from toricctl.varieties import class_group_rank
+from tests import oracles
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 V = (-1, -2, -3)
@@ -185,6 +189,111 @@ def test_validate_detects_duplicate_cones():
     assert not report.ok
 
 
+# -- pair check against the Fraction reference -----------------------------------
+
+PAIR_KINDS = ("share0", "share1", "share2", "mutant", "dup_vector")
+
+
+def _add_ray(rays, ray):
+    if ray in rays:
+        return rays.index(ray)
+    rays.append(ray)
+    return len(rays) - 1
+
+
+def small_fan(rng, kind):
+    """A few cones grown from a random cone, each new one related to an old one.
+
+    ``shareN`` adds a cone with N ray indices of an old cone and either the
+    negations of its other rays (meeting the old cone in a face) or random
+    rays; ``mutant`` adds a cone inside an old one; ``dup_vector`` adds a
+    cone on a copy of an old ray stored under a new index.  The last cone
+    added is of the given kind, the ones before it of a random ``shareN``.
+    """
+    rays = list(oracles.random_valid_cone_rays(rng))
+    fan_cones = [(0, 1, 2)]
+    steps = rng.randint(1, 3)
+    for step in range(steps):
+        base = rng.choice(fan_cones)
+        step_kind = kind if step == steps - 1 else rng.choice(PAIR_KINDS[:3])
+        if step_kind == "mutant":
+            a, b, c = (rays[i] for i in base)
+            x, y, z = (rng.randint(1, 3) for _ in range(3))
+            inside = oracles.primitive_part(
+                tuple(x * p + y * q + z * t for p, q, t in zip(a, b, c))
+            )
+            new = rng.sample(base, 2) + [_add_ray(rays, inside)]
+        elif step_kind == "dup_vector":
+            k = rng.choice(base)
+            rays.append(rays[k])
+            rest = [i for i in base if i != k]
+            if rng.random() < 0.5:
+                rest = [_add_ray(rays, tuple(-x for x in rays[i])) for i in rest]
+            new = [len(rays) - 1] + rest
+        else:
+            shared = rng.sample(base, int(step_kind[-1]))
+            if rng.random() < 0.5:
+                fresh = [tuple(-x for x in rays[i]) for i in base if i not in shared]
+            else:
+                fresh = list(oracles.random_valid_cone_rays(rng))[: 3 - len(shared)]
+            new = shared + [_add_ray(rays, ray) for ray in fresh]
+        if len(set(new)) == 3:
+            rng.shuffle(new)
+            fan_cones.append(tuple(new))
+    return rays, fan_cones
+
+
+def _pair_verdicts(fan):
+    """Per-pair verdicts of the integer check, each pair in both orders."""
+    normals = []
+    for k in range(len(fan.cones)):
+        d, cone_normals = cones._facet_normals(fan.cone_rays(k))
+        normals.append(cone_normals if d else None)
+    verdicts = {}
+    for ca in range(len(fan.cones)):
+        for cb in range(len(fan.cones)):
+            if ca != cb and normals[ca] and normals[cb]:
+                verdicts[ca, cb] = cones._intersection_is_common_face(fan, normals, ca, cb)
+    return verdicts
+
+
+def _check_against_reference(rays, fan_cones):
+    fan = make_fan("random", rays, fan_cones)
+    assert list(validate_fan(fan).problems) == oracles.fan_problems(rays, fan_cones)
+    verdicts = _pair_verdicts(fan)
+    for (ca, cb), verdict in verdicts.items():
+        assert verdict == oracles.intersection_is_common_face(
+            rays, fan_cones[ca], fan_cones[cb]
+        ), (ca, cb)
+    return verdicts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PAIR_KINDS))
+def test_pair_check_matches_fraction_reference(seed, kind):
+    _check_against_reference(*small_fan(random.Random(seed), kind))
+
+
+def test_pair_check_reference_sees_both_verdicts():
+    rng = random.Random(4242)
+    for kind in PAIR_KINDS:
+        seen = set()
+        for _ in range(40):
+            seen |= set(_check_against_reference(*small_fan(rng, kind)).values())
+        assert seen == {True, False}, kind
+
+
+def test_stellar_subdivisions_stay_valid_and_complete():
+    rng = random.Random(77)
+    for stars in (1, 5, 12):
+        rays, fan_cones = oracles.stellar_fan(rng, stars)
+        fan = make_fan("stellar", rays, fan_cones)
+        assert validate_fan(fan).ok
+        assert oracles.fan_problems(rays, fan_cones) == []
+        assert is_complete(fan)
+        assert class_group_rank(fan) == len(rays) - 3
+
+
 def test_fan_constructor_structural_checks():
     with pytest.raises(ValueError):
         make_fan("bad", [E1, E2], [(0, 1, 1)])  # repeated index
@@ -238,6 +347,23 @@ def test_fan_parse_rejects_bad_dim():
     data = fan_to_dict(p1123_fan())
     data["dim"] = 2
     with pytest.raises(FanFormatError):
+        fan_from_dict(data)
+
+
+@pytest.mark.parametrize("dim", [3.0, True, "3", None])
+def test_fan_parse_rejects_dim_that_is_not_the_integer_3(dim):
+    data = fan_to_dict(p1123_fan())
+    data["dim"] = dim
+    with pytest.raises(FanFormatError, match="'dim' must be the integer 3"):
+        fan_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["rays", "cones"])
+@pytest.mark.parametrize("value", [5, None, {"a": 1}, "abc", True])
+def test_fan_parse_rejects_non_list_containers(field, value):
+    data = fan_to_dict(p1123_fan())
+    data[field] = value
+    with pytest.raises(FanFormatError, match=f"'{field}' must be a list"):
         fan_from_dict(data)
 
 

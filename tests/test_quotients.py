@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 import pytest
@@ -118,6 +119,34 @@ def test_alternating_weight_family_is_terminal():
             if gcd(a, r) != 1:
                 continue
             assert is_terminal(CyclicQuotientType(r, (a, -a, 1)))
+
+
+def _terminal_lemma(r, weights):
+    """Up to permutation, a + b = 0 (mod r) and gcd(a, r) = gcd(c, r) = 1."""
+    return any(
+        (a + b) % r == 0 and gcd(a, r) == 1 and gcd(c, r) == 1
+        for a, b, c in permutations(weights)
+    )
+
+
+def test_terminal_lemma_holds_for_all_effective_types():
+    # Without gcd(a, r) = 1 the lemma also admits non-isolated types such as
+    # 1/2(0,0,1) and 1/4(2,2,1), which are not terminal.
+    for r, weights in ((2, (0, 0, 1)), (4, (2, 2, 1))):
+        assert not is_terminal(CyclicQuotientType(r, weights))
+        assert not _terminal_lemma(r, weights)
+        assert (weights[0] + weights[1]) % r == 0 and gcd(weights[2], r) == 1
+    checked = 0
+    for r in range(1, 41):
+        for weights in combinations_with_replacement(range(r), 3):
+            if gcd(*weights, r) != 1:
+                continue
+            checked += 1
+            assert is_terminal(CyclicQuotientType(r, weights)) == _terminal_lemma(r, weights), (
+                r,
+                weights,
+            )
+    assert checked == 112_469  # effective types with r <= 40, up to permutation
 
 
 @given(st.integers(1, 40), st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(0, 39)))
