@@ -2,9 +2,10 @@
 
 Only full-dimensional simplicial cones are supported as maximal cones; faces
 are derived on the fly, never stored.  All geometry is decided by exact
-integer arithmetic: facet normals are closed-form 3x3 cofactors (cross
-products of rays), and every test is the sign of a dot product with such a
-normal, so validity and completeness verdicts are never approximate.
+integer arithmetic: determinants and facet normals come from the closed-form
+3x3 kernel ``lattice.det_adjugate3`` (rows of the adjugate are cross products
+of rays), and every test is the sign of a dot product with such a normal, so
+validity and completeness verdicts are never approximate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .lattice import Matrix, Vector, det, is_primitive
+from .lattice import Matrix, Vector, _cross, det_adjugate3, is_primitive
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -43,7 +44,7 @@ class Cone:
                 raise ValueError(f"ray {ray!r} is not an integer vector of length 3")
             if not is_primitive(ray):
                 raise ValueError(f"ray {ray} is not primitive")
-        if det(self.ray_matrix()) == 0:
+        if det_adjugate3(self.ray_matrix())[0] == 0:
             raise ValueError(f"degenerate cone: rays {self.rays} are linearly dependent")
 
     def ray_matrix(self) -> Matrix:
@@ -57,7 +58,7 @@ def make_cone(r1: Sequence[int], r2: Sequence[int], r3: Sequence[int]) -> Cone:
 
 def cone_multiplicity(c: Cone) -> int:
     """Index of the sublattice spanned by the rays; 1 means smooth."""
-    return abs(det(c.ray_matrix()))
+    return abs(det_adjugate3(c.ray_matrix())[0])
 
 
 def is_smooth(c: Cone) -> bool:
@@ -67,27 +68,15 @@ def is_smooth(c: Cone) -> bool:
 Normals = tuple[Vector, Vector, Vector]
 
 
-def _cross(a: Vector, b: Vector) -> Vector:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _facet_normals(rays: Sequence[Vector]) -> tuple[int, Normals]:
     """Determinant of the ray matrix and the inward facet normals of its cone.
 
-    Row ``k`` of the adjugate of the matrix with columns ``r0, r1, r2`` is the
-    cross product of the other two rays, taken cyclically, so ``n_k . r_j`` is
-    ``det`` when ``j == k`` and 0 otherwise.  Flipping all three rows by the
-    sign of ``det`` makes them point inward.  For a degenerate triple the
-    determinant is 0 and the normals are meaningless.
+    Row ``k`` of the adjugate of the matrix with the rays as columns satisfies
+    ``n_k . r_j == det`` when ``j == k`` and 0 otherwise.  Flipping all three
+    rows by the sign of ``det`` makes them point inward.  For a degenerate
+    triple the determinant is 0 and the normals are meaningless.
     """
-    r0, r1, r2 = rays
-    n0 = _cross(r1, r2)
-    d = r0[0] * n0[0] + r0[1] * n0[1] + r0[2] * n0[2]
-    normals = (n0, _cross(r2, r0), _cross(r0, r1))
+    d, normals = det_adjugate3(tuple(zip(*rays)))
     if d < 0:
         normals = tuple(tuple(-x for x in n) for n in normals)
     return d, normals
@@ -99,10 +88,6 @@ def inward_normals(c: Cone) -> Normals:
     ``n_k`` is the normal of the facet opposite ray ``k``.
     """
     return _facet_normals(c.rays)[1]
-
-
-def cone_contains(c: Cone, point: Sequence[Rational]) -> bool:
-    return all(sum(n_i * p_i for n_i, p_i in zip(n, point)) >= 0 for n in inward_normals(c))
 
 
 def classify_point(c: Cone, point: Sequence[Rational]) -> str:
@@ -167,6 +152,9 @@ def make_fan(
 @dataclass(frozen=True)
 class FanValidation:
     problems: tuple[str, ...]
+    # every ray is primitive and no cone is degenerate, so every cone has a
+    # quotient singularity type
+    cones_computable: bool
 
     @property
     def ok(self) -> bool:
@@ -217,6 +205,7 @@ def validate_fan(fan: Fan) -> FanValidation:
     for i, ray in enumerate(fan.rays):
         if not is_primitive(ray):
             problems.append(f"ray {i} = {list(ray)} is not primitive")
+    rays_primitive = not problems
     seen: dict[Vector, int] = {}
     for i, ray in enumerate(fan.rays):
         if ray in seen:
@@ -238,7 +227,7 @@ def validate_fan(fan: Fan) -> FanValidation:
             problems.append(f"cone {list(cone)} duplicates cone {list(fan.cones[cone_sets[key]])}")
         else:
             cone_sets[key] = k
-    if not any("not primitive" in p for p in problems):
+    if rays_primitive:
         for ca, cb in combinations(range(len(fan.cones)), 2):
             if normals[ca] is None or normals[cb] is None:
                 continue
@@ -247,7 +236,7 @@ def validate_fan(fan: Fan) -> FanValidation:
                     f"cones {list(fan.cones[ca])} and {list(fan.cones[cb])} "
                     "do not intersect in a common face"
                 )
-    return FanValidation(tuple(problems))
+    return FanValidation(tuple(problems), rays_primitive and None not in normals)
 
 
 def fan_walls(fan: Fan) -> Counter:
@@ -269,7 +258,7 @@ def is_complete(fan: Fan) -> bool:
     if not fan.cones:
         return False
     for k in range(len(fan.cones)):
-        if det(tuple(zip(*fan.cone_rays(k)))) == 0:
+        if det_adjugate3(tuple(zip(*fan.cone_rays(k))))[0] == 0:
             raise ValueError(f"cone {list(fan.cones[k])} is degenerate")
     walls = fan_walls(fan)
     if any(count != 2 for count in walls.values()):
@@ -351,14 +340,20 @@ def fan_from_dict(data) -> Fan:
 def fan_from_json(text: str) -> Fan:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise FanFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FanFormatError("invalid JSON: nested too deeply") from exc
     return fan_from_dict(data)
 
 
 def load_fan(path) -> Fan:
     with open(path, "r", encoding="utf-8") as handle:
-        return fan_from_json(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise FanFormatError(f"not UTF-8 text: {exc}") from exc
+    return fan_from_json(text)
 
 
 def save_fan(fan: Fan, path) -> None:

@@ -11,6 +11,10 @@ Conventions, fixed so that results are bit-exact:
   pivot reduced into ``[0, pivot)``.
 * ``smith_normal_form`` returns ``D = U @ M @ V`` with nonnegative diagonal
   entries forming a divisibility chain, zero factors last.
+
+``det``, the normal forms and ``solve_integer`` are the generic n x n API.
+Every 3x3 determinant, adjugate and unimodular solve in the package goes
+through the closed-form kernel ``det_adjugate3`` and ``unimodular_solve``.
 """
 
 from __future__ import annotations
@@ -93,20 +97,43 @@ def det(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(m: Matrix) -> Matrix:
-    """Adjugate matrix: ``m @ adjugate(m) == det(m) * identity``."""
-    n = _square_dim(m)
-    if n == 1:
-        return ((1,),)
-    cof = [
-        [
-            (-1) ** (i + j)
-            * det(tuple(tuple(m[r][c] for c in range(n) if c != j) for r in range(n) if r != i))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+def _cross(a: Sequence[int], b: Sequence[int]) -> Vector:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def det_adjugate3(m: Matrix) -> tuple[int, Matrix]:
+    """Determinant and adjugate of a 3x3 matrix, in closed form.
+
+    Row ``k`` of the adjugate is the cross product of columns ``k+1`` and
+    ``k+2`` (cyclically), so ``adj @ m == det * identity``; the determinant is
+    column 0 dotted with row 0 of the adjugate.
+    """
+    if len(m) != 3 or any(len(row) != 3 for row in m):
+        raise ValueError("matrix is not 3x3")
+    c0, c1, c2 = zip(*m)
+    adj = (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
+    return sum(x * y for x, y in zip(c0, adj[0])), adj
+
+
+def unimodular_solve(source: Matrix, target: Matrix) -> Matrix | None:
+    """The integral ``g`` with ``g @ source == target`` and ``det(g) == +-1``.
+
+    ``source`` must be a nonsingular 3x3 matrix, so ``g`` is unique over Q:
+    ``g = target @ adj(source) / det(source)``.  Returns None when that ``g``
+    is not integral or not unimodular.
+    """
+    d, adj = det_adjugate3(source)
+    if d == 0:
+        raise ValueError("source matrix is singular")
+    numerator = mat_mul(target, adj)
+    if any(x % d for row in numerator for x in row):
+        return None
+    g = tuple(tuple(x // d for x in row) for row in numerator)
+    return g if det_adjugate3(g)[0] in (1, -1) else None
 
 
 def is_unimodular(m: Matrix) -> bool:

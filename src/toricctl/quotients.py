@@ -9,6 +9,10 @@ generator; the singularity type is written ``1/r(a1, a2, a3)``.
 Types are normalized by rescaling with units mod ``r`` and sorting, so that
 equality of normalized types is equality of singularities up to the usual
 ambiguities (choice of generator, ordering of coordinates).
+
+Determinants, adjugates and unimodular equivalences of the 3x3 ray matrices
+come from the closed-form kernel ``lattice.det_adjugate3`` and the solver
+``lattice.unimodular_solve``; the group itself from the Smith normal form.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import permutations
 from math import gcd
 
 from .cones import Cone
-from .lattice import Matrix, adjugate, det, mat_vec, smith_normal_form
+from .lattice import Matrix, det_adjugate3, mat_vec, smith_normal_form, unimodular_solve
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,10 @@ def quotient_type(c: Cone) -> QuotientType:
     The Smith normal form ``D = U R V`` of the ray matrix identifies
     ``Z^3 / R Z^3`` with the product of ``Z / d_i``; when cyclic, the class of
     the matching column of ``U^-1`` generates, and its ray coordinates give
-    the action weights.
+    the action weights.  Since ``d1 d2 d3 = |det R|``, a cyclic group has
+    order ``r = |det R|``, so ``adj(R) g`` is ``r`` times the ray coordinates
+    ``adj(R) g / det R`` of the generator ``sign(det R) g``.  The signs are
+    immaterial: normalization rescales by the unit -1 as well.
     """
     m = c.ray_matrix()
     d_mat, u_mat, _ = smith_normal_form(m)
@@ -104,20 +111,13 @@ def quotient_type(c: Cone) -> QuotientType:
     r = factors[2]
     if r == 1:
         return CyclicQuotientType(1, (0, 0, 0))
-    # det(U) is +-1, so U^-1 = det(U) * adjugate(U) stays integral.
-    du = det(u_mat)
-    u_inv = tuple(tuple(du * x for x in row) for row in adjugate(u_mat))
-    generator = tuple(row[2] for row in u_inv)
-    # ray coordinates of the generator, as fractions with denominator det(m)
-    dm = det(m)
-    coords = [Fraction(x, dm) for x in mat_vec(adjugate(m), generator)]
-    weights = []
-    for t in coords:
-        scaled = t * r
-        if scaled.denominator != 1:
-            raise AssertionError("generator order does not clear ray coordinates")
-        weights.append(int(scaled) % r)
-    return normalize_type(CyclicQuotientType(r, tuple(weights)))
+    # det U is +-1, so adj(U) = +-U^-1 and its last column generates too.
+    generator = tuple(row[2] for row in det_adjugate3(u_mat)[1])
+    dm, adj_m = det_adjugate3(m)
+    if abs(dm) != r:
+        raise AssertionError(f"group order {r} differs from |det| = {abs(dm)}")
+    weights = tuple(x % r for x in mat_vec(adj_m, generator))
+    return normalize_type(CyclicQuotientType(r, weights))
 
 
 def reid_tai_sum(t: CyclicQuotientType, k: int) -> Fraction:
@@ -162,18 +162,8 @@ def lattice_equivalent(c1: Cone, c2: Cone) -> Matrix | None:
     result is deterministic.  Returns None when the cones are not equivalent.
     """
     r1 = c1.ray_matrix()
-    d1 = det(r1)
-    adj1 = adjugate(r1)
-    for perm in permutations(range(3)):
-        cols = [c2.rays[perm[j]] for j in range(3)]
-        target = tuple(tuple(col[i] for col in cols) for i in range(3))
-        numerator = tuple(
-            tuple(sum(target[i][k] * adj1[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-        if any(x % d1 for row in numerator for x in row):
-            continue
-        g = tuple(tuple(x // d1 for x in row) for row in numerator)
-        if det(g) in (1, -1):
+    for perm in permutations(c2.rays):
+        g = unimodular_solve(r1, tuple(zip(*perm)))
+        if g is not None:
             return g
     return None

@@ -155,9 +155,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(exps) for exps in self.terms), default=0)
-
     def substitute(self, assignment: Mapping[str, "Poly | int"]) -> "Poly":
         """Ring homomorphism: replace variables by polynomials.
 
@@ -240,18 +237,6 @@ def _coerce(value) -> Poly:
 def variables(names: str) -> tuple[Poly, ...]:
     """Convenience: ``a, b = variables("a b")``."""
     return tuple(Poly.variable(name) for name in names.split())
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_substitute(p: Poly, assignment: Mapping[str, Poly | int]) -> Poly:
-    return p.substitute(assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ the class-group rank into one report.  ``build_wps_fan`` realizes a weighted
 projective 3-space as a 4-ray fan.  ``solve_linking_equations`` and
 ``classify_case1`` mechanize the search for a 4-ray fan whose two singular
 charts have types ``1/n(1,1,-1)`` and ``1/m(1,1,-1)`` linked by
-``m = mu*n - 1`` and ``n = nu*m - 1``.
+``m = mu*n - 1`` and ``n = nu*m - 1``; the linking equations have one
+solution, in closed form.  Ray-triple determinants and lattice equivalences
+go through the 3x3 kernel ``lattice.det_adjugate3`` and ``lattice.unimodular_solve``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
 
-from .cones import Fan, is_complete, validate_fan
-from .lattice import Matrix, Vector, adjugate, det, mat_vec, smith_normal_form
+from .cones import Fan, cone_multiplicity, is_complete, validate_fan
+from .lattice import Matrix, Vector, det_adjugate3, mat_vec, smith_normal_form, unimodular_solve
 from .quotients import (
     CyclicQuotientType,
     is_terminal,
@@ -112,9 +114,8 @@ def analyze(fan: Fan) -> AnalysisReport:
     """Full audit: validity, completeness, per-cone singularity types, rank."""
     validation = validate_fan(fan)
     valid = validation.ok
-    cones_computable = all("not primitive" not in p and "degenerate" not in p for p in validation.problems)
     records: list[ConeRecord] = []
-    if cones_computable:
+    if validation.cones_computable:
         for k in range(len(fan.cones)):
             cone = fan.simplicial_cone(k)
             qt = quotient_type(cone)
@@ -122,7 +123,7 @@ def analyze(fan: Fan) -> AnalysisReport:
             records.append(
                 ConeRecord(
                     tuple(fan.cones[k]),
-                    abs(det(cone.ray_matrix())),
+                    cone_multiplicity(cone),
                     str(qt),
                     terminal,
                 )
@@ -202,19 +203,15 @@ class LinkingSolution:
 def solve_linking_equations(bound: int) -> list[LinkingSolution]:
     """All linking solutions with n <= bound, in ascending order of n.
 
-    With 1 < m < n the first equation forces mu = 1 and m = n - 1, so the
-    enumeration walks n and tests the divisibility required by the second
-    equation.
+    There is exactly one, (n, m, mu, nu) = (3, 2, 1, 2).  Proof: with
+    1 < m < n, ``m = mu*n - 1`` rules out mu <= 0 (then m < 0) and mu >= 2
+    (then m >= 2n - 1 > n), so mu = 1 and m = n - 1.  The second equation
+    becomes ``n + 1 = nu*(n - 1)``, so n - 1 divides (n + 1) - (n - 1) = 2;
+    n - 1 = 1 would give m = 1, hence n - 1 = 2, n = 3, m = 2 and nu = 2.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    solutions: list[LinkingSolution] = []
-    for n in range(3, bound + 1):
-        m = n - 1
-        nu, rem = divmod(n + 1, m)
-        if rem == 0:
-            solutions.append(LinkingSolution(n, m, 1, nu))
-    return solutions
+    return [LinkingSolution(3, 2, 1, 2)] if bound >= 3 else []
 
 
 def fan_lattice_equivalent(f1: Fan, f2: Fan) -> Matrix | None:
@@ -226,30 +223,17 @@ def fan_lattice_equivalent(f1: Fan, f2: Fan) -> Matrix | None:
     """
     if len(f1.rays) != len(f2.rays) or len(f1.cones) != len(f2.cones):
         return None
-    base = next(
-        (
-            triple
-            for triple in combinations(range(len(f1.rays)), 3)
-            if det(tuple(zip(*(f1.rays[i] for i in triple)))) != 0
-        ),
-        None,
+    sources = (
+        tuple(zip(*(f1.rays[i] for i in triple)))
+        for triple in combinations(range(len(f1.rays)), 3)
     )
+    base = next((source for source in sources if det_adjugate3(source)[0] != 0), None)
     if base is None:
         return None
-    r1 = tuple(zip(*(f1.rays[i] for i in base)))
-    d1 = det(r1)
-    adj1 = adjugate(r1)
     f2_cones = {frozenset(cone) for cone in f2.cones}
     for arrangement in permutations(range(len(f2.rays)), 3):
-        target = tuple(zip(*(f2.rays[i] for i in arrangement)))
-        numerator = tuple(
-            tuple(sum(target[i][k] * adj1[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-        if any(x % d1 for row in numerator for x in row):
-            continue
-        g = tuple(tuple(x // d1 for x in row) for row in numerator)
-        if det(g) not in (1, -1):
+        g = unimodular_solve(base, tuple(zip(*(f2.rays[i] for i in arrangement))))
+        if g is None:
             continue
         ray_index = {ray: i for i, ray in enumerate(f2.rays)}
         mapping = {}

@@ -4,8 +4,8 @@ Nothing in here calls into the library's normal-form or quotient machinery:
 determinants and adjugates are written out as explicit 3x3 cofactor formulas,
 lattice points are found by scanning the bounding box of the fundamental
 parallelepiped, group structure is read off by literally iterating the group
-law, and fan validity is decided by ``Fraction`` Gaussian elimination.  Slow
-and dumb on purpose.
+law, and fan validity and lattice equivalences are decided by ``Fraction``
+Gaussian elimination.  Slow and dumb on purpose.
 """
 
 from __future__ import annotations
@@ -28,6 +28,46 @@ def adj3(m):
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
+
+
+def fraction_solve(source, target):
+    """The rational ``g`` with ``g @ source == target``, by Gauss-Jordan
+    elimination over ``Fraction`` on ``[source | I]``; None if ``source`` is
+    singular."""
+    n = len(source)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(source)
+    ]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
+    inverse = [row[n:] for row in rows]
+    return tuple(
+        tuple(sum(t[k] * inverse[k][j] for k in range(n)) for j in range(n)) for t in target
+    )
+
+
+def linking_solutions(bound: int):
+    """Linking solutions ``(n, m, mu, nu)`` with n <= bound, by walking n.
+
+    With 1 < m < n the first equation forces mu = 1 and m = n - 1, so each n
+    is tested for the divisibility (n - 1) | (n + 1) that the second needs.
+    """
+    solutions = []
+    for n in range(3, bound + 1):
+        m = n - 1
+        nu, rem = divmod(n + 1, m)
+        if rem == 0:
+            solutions.append((n, m, 1, nu))
+    return solutions
 
 
 def parallelepiped_points(rays):

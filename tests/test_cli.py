@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from toricctl.cones import fan_to_json, load_fan, make_fan
 from toricctl.varieties import build_wps_fan
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -63,21 +66,38 @@ def test_check_fan_non_integer_entry(tmp_path, capsys):
     assert code == 2
 
 
+def _fan_doc(fields: str) -> bytes:
+    return ('{"name": "x", ' + fields + "}").encode()
+
+
 @pytest.mark.parametrize(
-    "fields, expected",
+    "content, expected",
     [
-        ('"dim": 3, "rays": 5, "cones": []', "'rays' must be a list"),
-        ('"dim": 3, "rays": [], "cones": null', "'cones' must be a list"),
-        ('"dim": 3, "rays": {"a": 1}, "cones": []', "'rays' must be a list"),
-        ('"dim": 3, "rays": "abc", "cones": []', "'rays' must be a list"),
-        ('"dim": 3.0, "rays": [], "cones": []', "'dim' must be the integer 3"),
-        ('"dim": true, "rays": [], "cones": []', "'dim' must be the integer 3"),
+        (_fan_doc('"dim": 3, "rays": 5, "cones": []'), "'rays' must be a list"),
+        (_fan_doc('"dim": 3, "rays": [], "cones": null'), "'cones' must be a list"),
+        (_fan_doc('"dim": 3, "rays": {"a": 1}, "cones": []'), "'rays' must be a list"),
+        (_fan_doc('"dim": 3, "rays": "abc", "cones": []'), "'rays' must be a list"),
+        (_fan_doc('"dim": 3.0, "rays": [], "cones": []'), "'dim' must be the integer 3"),
+        (_fan_doc('"dim": true, "rays": [], "cones": []'), "'dim' must be the integer 3"),
+        (_fan_doc('"dim": 3, "rays": [], "cones": []').decode().encode("utf-16"), "not UTF-8"),
+        (b"[" * 100_000, "nested too deeply"),
+        (_fan_doc('"dim": 3, "rays": [[' + "1" * 5000 + ", 0, 0]]"), "invalid JSON"),
     ],
-    ids=["rays-number", "cones-null", "rays-object", "rays-string", "dim-float", "dim-bool"],
+    ids=[
+        "rays-number",
+        "cones-null",
+        "rays-object",
+        "rays-string",
+        "dim-float",
+        "dim-bool",
+        "utf16-bom",
+        "deep-nesting",
+        "huge-integer",
+    ],
 )
-def test_check_fan_wrong_types(tmp_path, capsys, fields, expected):
+def test_check_fan_wrong_types(tmp_path, capsys, content, expected):
     path = tmp_path / "bad.json"
-    path.write_text('{"name": "x", ' + fields + "}")
+    path.write_bytes(content)
     code, out, err = run(capsys, "check-fan", str(path))
     assert code == 2
     assert out == ""
@@ -150,6 +170,15 @@ def test_classify_case1_trivial_bound(capsys):
     assert "0" in out
 
 
+def test_classify_case1_huge_bound_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify-case1", "--bound", "100000000000", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["solutions"] == [{"n": 3, "m": 2, "mu": 1, "nu": 2}]
+    assert elapsed < 1.0
+
+
 def test_classify_case1_bad_bound(capsys):
     assert run(capsys, "classify-case1", "--bound", "0")[0] == 2
     assert run(capsys, "classify-case1", "--bound", "1")[0] == 2
@@ -211,6 +240,22 @@ def test_reproduce_paper_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["schema"] == 1
     assert payload["report"]["all_passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("reproduce-paper",)]
+    + [
+        ("wps", w)
+        for w in ("1,1,1,1", "1,1,1,2", "1,1,2,3", "1,2,3,5", "1,3,4,5", "2,3,5,7", "3,4,5,7")
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_json_output_matches_golden(monkeypatch, capsys, argv):
+    monkeypatch.delenv("TORICCTL_SEED", raising=False)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / ("-".join(argv) + ".json")).read_bytes()
 
 
 def test_reproduce_paper_names_corrupted_check(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricctl.lattice import (
     det,
+    det_adjugate3,
     hermite_normal_form,
     identity,
     invariant_factors,
@@ -15,9 +16,17 @@ from toricctl.lattice import (
     matrix,
     smith_normal_form,
     solve_integer,
+    unimodular_solve,
     xgcd,
 )
-from tests.oracles import is_row_hnf, random_matrix
+from tests.oracles import (
+    adj3,
+    det3,
+    fraction_solve,
+    is_row_hnf,
+    random_matrix,
+    random_unimodular,
+)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 V = (-1, -2, -3)
@@ -55,6 +64,52 @@ def test_det_rejects_non_square():
 @given(matrices(3, 3), matrices(3, 3))
 def test_det_multiplicative(a, b):
     assert det(mat_mul(a, b)) == det(a) * det(b)
+
+
+# -- closed-form 3x3 kernel and unimodular solver ------------------------------
+
+
+def singular_matrices():
+    """Third row a combination of the first two."""
+    return st.tuples(matrices(2, 3), st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda t: t[0] + (tuple(t[1] * x + t[2] * y for x, y in zip(*t[0])),)
+    )
+
+
+@given(st.one_of(matrices(3, 3), singular_matrices()))
+def test_det_adjugate3_matches_oracles(m):
+    d, adj = det_adjugate3(m)
+    assert d == det3(m) == det(m)
+    assert adj == adj3(m)
+
+
+def test_det_adjugate3_rejects_non_3x3():
+    for m in (((1, 2), (3, 4)), ((1, 2, 3), (4, 5, 6)), ((1, 2, 3), (4, 5, 6), (7, 8))):
+        with pytest.raises(ValueError):
+            det_adjugate3(m)
+
+
+@given(
+    matrices(3, 3).filter(lambda m: det(m) != 0),
+    st.one_of(matrices(3, 3), st.randoms(use_true_random=False).map(random_unimodular)),
+)
+def test_unimodular_solve_against_fraction_oracle(source, g0):
+    # target g0 is rarely reachable; g0 @ source is reached iff g0 is unimodular
+    for target in (g0, mat_mul(g0, source)):
+        g = unimodular_solve(source, target)
+        exact = fraction_solve(source, target)
+        if g is None:
+            integral = all(x.denominator == 1 for row in exact for x in row)
+            assert not integral or det3(exact) not in (1, -1)
+        else:
+            assert mat_mul(g, source) == target
+            assert det(g) in (1, -1)
+            assert g == exact
+
+
+def test_unimodular_solve_rejects_singular_source():
+    with pytest.raises(ValueError):
+        unimodular_solve(columns(E1, E2, (1, 1, 0)), identity(3))
 
 
 def test_xgcd():

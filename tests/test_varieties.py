@@ -14,6 +14,7 @@ from toricctl.varieties import (
     fan_lattice_equivalent,
     solve_linking_equations,
 )
+from tests.oracles import linking_solutions
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -118,6 +119,16 @@ def test_analyze_invalid_fan():
     assert len(report.cones) == 2
 
 
+def test_analyze_skips_cone_audit_for_bad_rays_and_degenerate_cones():
+    degenerate = make_fan("degen", [E1, E2, (1, 1, 0), E3], [(0, 1, 2), (0, 1, 3)])
+    non_primitive = make_fan("fat", [E1, E2, (0, 0, 2)], [(0, 1, 2)])
+    for fan, problem in ((degenerate, "degenerate"), (non_primitive, "not primitive")):
+        report = analyze(fan)
+        assert not report.valid
+        assert report.cones == () and not report.all_terminal
+        assert any(problem in v for v in report.violations)
+
+
 def test_analyze_report_serializes():
     report = analyze(build_wps_fan(1, 1, 2, 3))
     data = report.to_dict()
@@ -160,6 +171,12 @@ def test_linking_solutions_monotone_in_bound():
     large = {(s.n, s.m) for s in solve_linking_equations(5000)}
     assert small <= large
     assert large == {(3, 2)}
+
+
+def test_linking_closed_form_matches_enumeration():
+    for bound in range(2, 2001):
+        found = [(s.n, s.m, s.mu, s.nu) for s in solve_linking_equations(bound)]
+        assert found == linking_solutions(bound), bound
 
 
 def test_linking_solution_validation():
