@@ -8,7 +8,12 @@ generator; the singularity type is written ``1/r(a1, a2, a3)``.
 
 Types are normalized by rescaling with units mod ``r`` and sorting, so that
 equality of normalized types is equality of singularities up to the usual
-ambiguities (choice of generator, ordering of coordinates).
+ambiguities (choice of generator, ordering of coordinates).  The search is
+gcd-seeded: only the units that carry a weight of least ``gcd(a, r)`` onto that
+gcd can give the least triple, so ``normalize_type`` never walks all phi(r)
+units.  Terminality is decided by the 3-fold terminal lemma (Morrison-Stevens,
+White-Frumkin) in O(log r) instead of by the r - 1 Reid-Tai sums;
+``is_canonical`` still walks the sums.
 
 Determinants, adjugates and unimodular equivalences of the 3x3 ray matrices
 come from the closed-form kernel ``lattice.det_adjugate3`` and the solver
@@ -78,17 +83,32 @@ QuotientType = CyclicQuotientType | NonCyclicType
 
 def normalize_type(t: CyclicQuotientType) -> CyclicQuotientType:
     """Canonical representative: lexicographically least sorted weight triple
-    over all rescalings by units mod r."""
-    if t.r == 1:
+    over all rescalings by units mod r.
+
+    Weights that are 0 stay 0 under every unit and sort first.  A unit carries
+    a nonzero weight ``a`` onto the multiples of ``gcd(a, r)`` coprime to
+    ``r / gcd(a, r)``, and onto nothing smaller than ``gcd(a, r)`` itself, so
+    the first nonzero entry of the least triple is ``g``, the least
+    ``gcd(a, r)`` over the nonzero weights; a weight 0 has ``gcd(0, r) = r``,
+    above every other, so taking the least over all weights is the same.  Only
+    units sending a weight with ``gcd(a, r) = g`` to ``g`` can win:
+    ``u = (a / g)^-1 mod r / g``, lifted to a unit mod r, which leaves at most
+    ``g`` candidates per such weight (one when ``g = 1``) instead of all
+    phi(r) units.
+    """
+    r = t.r
+    if r == 1:
         return CyclicQuotientType(1, (0, 0, 0))
-    best = None
-    for u in range(1, t.r):
-        if gcd(u, t.r) != 1:
-            continue
-        cand = tuple(sorted((u * a) % t.r for a in t.weights))
-        if best is None or cand < best:
-            best = cand
-    return CyclicQuotientType(t.r, best)
+    g = min(gcd(a, r) for a in t.weights)
+    m = r // g
+    seeds = {a // g for a in t.weights if gcd(a, r) == g}
+    best = min(
+        tuple(sorted(u * a % r for a in t.weights))
+        for s in seeds
+        for u in range(pow(s, -1, m), r, m)
+        if gcd(u, r) == 1
+    )
+    return CyclicQuotientType(r, best)
 
 
 def quotient_type(c: Cone) -> QuotientType:
@@ -128,17 +148,33 @@ def reid_tai_sum(t: CyclicQuotientType, k: int) -> Fraction:
 
 
 def is_terminal(t: CyclicQuotientType) -> bool:
-    """Terminal iff every Reid-Tai sum exceeds 1 (vacuously true for r = 1)."""
+    """Terminal iff every Reid-Tai sum exceeds 1, decided by the terminal lemma.
+
+    The terminal lemma for 3-fold cyclic quotients (Morrison-Stevens,
+    *Terminal quotient singularities in dimensions three and four*, Proc. AMS
+    1984; White-Frumkin): 1/r(a, b, c) with r > 1 is terminal iff, up to
+    permutation, a + b = 0 (mod r) and gcd(a, r) = gcd(c, r) = 1.  Since
+    a + b = 0 gives gcd(a, r) = gcd(b, r), checking the three pairings covers
+    all six permutations.  Costs O(log r) instead of the r - 1 Reid-Tai sums.
+    """
     r = t.r
-    a1, a2, a3 = t.weights
-    for k in range(1, r):
-        if (k * a1) % r + (k * a2) % r + (k * a3) % r <= r:
-            return False
-    return True
+    if r == 1:
+        return True
+    a, b, c = t.weights
+    ua, ub, uc = (gcd(w, r) == 1 for w in t.weights)
+    return (
+        ((a + b) % r == 0 and ua and uc)
+        or ((a + c) % r == 0 and ua and ub)
+        or ((b + c) % r == 0 and ub and ua)
+    )
 
 
 def is_canonical(t: CyclicQuotientType) -> bool:
-    """Canonical iff every Reid-Tai sum is at least 1."""
+    """Canonical iff every Reid-Tai sum is at least 1.
+
+    Walks all r - 1 sums, so it is O(r): no closed form with a proof in this
+    repository replaces it.  No CLI command calls it.
+    """
     r = t.r
     a1, a2, a3 = t.weights
     for k in range(1, r):

@@ -70,6 +70,21 @@ def linking_solutions(bound: int):
     return solutions
 
 
+def normalize_type_by_units(r: int, weights):
+    """The least sorted weight triple of 1/r(weights) over all phi(r) unit
+    rescalings, by trying every unit."""
+    if r == 1:
+        return (0, 0, 0)
+    return min(
+        tuple(sorted(u * a % r for a in weights)) for u in range(1, r) if gcd(u, r) == 1
+    )
+
+
+def reid_tai_terminal(r: int, weights) -> bool:
+    """Is 1/r(weights) terminal: does every Reid-Tai sum for k = 1..r-1 exceed 1?"""
+    return all(sum(k * a % r for a in weights) > r for k in range(1, r))
+
+
 def parallelepiped_points(rays):
     """All lattice points of the half-open parallelepiped spanned by the rays.
 

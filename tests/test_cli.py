@@ -151,6 +151,24 @@ def test_wps_emit_fan(tmp_path, capsys):
     assert load_fan(out_path) == build_wps_fan(1, 1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "weights, big_type",
+    [
+        ("1,1,1,1000000007", "1/1000000007(1,1,1)"),
+        ("2,3,5,1000000007", "1/1000000007(1,200000002,800000006)"),
+    ],
+)
+def test_wps_huge_weight_is_fast(capsys, weights, big_type):
+    # a user-supplied weight of order 10^9 must not drive loops of that length
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "wps", weights, "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    cones = json.loads(out)["report"]["cones"]
+    assert [c["type"] for c in cones if c["multiplicity"] == 1000000007] == [big_type]
+    assert elapsed < 1.0
+
+
 # -- classify-case1 ----------------------------------------------------------------
 
 

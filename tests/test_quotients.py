@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricctl.cones import make_cone
 from toricctl.lattice import mat_vec
@@ -19,7 +20,14 @@ from toricctl.quotients import (
     reid_tai_sum,
     standard_cone,
 )
-from tests.oracles import oracle_quotient, random_unimodular, random_valid_cone_rays
+from tests.oracles import (
+    det3,
+    normalize_type_by_units,
+    oracle_quotient,
+    random_unimodular,
+    random_valid_cone_rays,
+    reid_tai_terminal,
+)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 V = (-1, -2, -3)
@@ -74,6 +82,62 @@ def test_normalize_idempotent_and_orbit_constant():
         mixed = list((u * a) % t.r for a in t.weights)
         rng.shuffle(mixed)
         assert normalize_type(CyclicQuotientType(t.r, tuple(mixed))) == n
+
+
+def test_normalize_and_terminal_match_oracles_for_all_types_up_to_30():
+    checked = 0
+    for r in range(1, 31):
+        for weights in combinations_with_replacement(range(r), 3):
+            if gcd(*weights, r) != 1:
+                continue
+            checked += 1
+            t = CyclicQuotientType(r, weights)
+            assert normalize_type(t).weights == normalize_type_by_units(r, weights), t
+            assert is_terminal(t) == reid_tai_terminal(r, weights), t
+    assert checked == 37_067  # effective types with r <= 30, up to permutation
+
+
+@st.composite
+def _gcd_heavy_types(draw):
+    """Effective types with r <= 5000 that favour zero weights and weights
+    sharing factors with r: the weights are drawn as multiples of 0, 1, p, q,
+    s, pq, qs or ps, and r is often pqs.  Dividing out gcd(weights, r) keeps
+    the action effective."""
+    p, q, s = (draw(st.integers(1, 17)) for _ in range(3))
+    r = p * q * s if draw(st.booleans()) else draw(st.integers(1, 5000))
+    factors = (0, 1, p, q, s, p * q, q * s, p * s)
+    weights = tuple(
+        draw(st.sampled_from(factors)) * draw(st.integers(1, r)) % r for _ in range(3)
+    )
+    d = gcd(*weights, r)
+    return r // d, tuple(w // d for w in weights)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_gcd_heavy_types())
+@example((30, (6, 10, 15)))
+@example((12, (0, 3, 4)))
+@example((2, (0, 0, 1)))
+@example((3315, (221, 255, 195)))
+def test_normalize_and_terminal_match_oracles_on_gcd_heavy_types(rw):
+    r, weights = rw
+    t = CyclicQuotientType(r, weights)
+    assert normalize_type(t).weights == normalize_type_by_units(r, weights)
+    assert is_terminal(t) == reid_tai_terminal(r, weights)
+
+
+def test_quotient_type_and_terminal_at_order_one_million_are_fast():
+    # the ROADMAP target for r = 10^6 is 5 ms; the best of five calls absorbs
+    # a slow host
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        qt = quotient_type(standard_cone(10**6))
+        terminal = is_terminal(qt)
+        best = min(best, time.perf_counter() - start)
+    assert qt == CyclicQuotientType(10**6, (1, 1, 10**6 - 1))
+    assert terminal
+    assert best < 0.005
 
 
 # -- Reid-Tai sums and terminality ------------------------------------------------
@@ -207,6 +271,25 @@ def test_quotient_type_agrees_with_parallelepiped_oracle():
             assert oracle == ("cyclic", qt.r, qt.weights)
         else:
             assert oracle == ("noncyclic", qt.factors)
+
+
+def test_quotient_type_agrees_with_parallelepiped_oracle_at_large_order():
+    # orders 100..1000 from small ray entries, so the box scan stays small;
+    # the oracle's group-law walk is quadratic in r, so few cones are drawn
+    rng = random.Random(2718)
+    orders = []
+    while len(orders) < 8:
+        rays = random_valid_cone_rays(rng, max_multiplicity=1000, span=9)
+        order = abs(det3(tuple(zip(*rays))))
+        if order < 100:
+            continue
+        orders.append(order)
+        qt = quotient_type(make_cone(*rays))
+        if isinstance(qt, CyclicQuotientType):
+            assert oracle_quotient(rays) == ("cyclic", qt.r, qt.weights)
+        else:
+            assert oracle_quotient(rays) == ("noncyclic", qt.factors)
+    assert max(orders) > 500
 
 
 # -- standard cones -------------------------------------------------------------------
