@@ -1,9 +1,12 @@
 """toricctl: command-line front end.
 
 Subcommands: check-fan, wps, classify-case1, verify-sl2, reproduce-paper.
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error.
-JSON output carries a top-level ``"schema": 1`` and is deterministic, so two
-runs of the same command produce byte-identical output.
+Each ``cmd_*`` handler returns ``(fields, lines, ok)``: the command's JSON
+fields, its text lines and whether every check passed.  ``main`` owns the
+envelope and the exit codes: it prints the text lines, or the JSON object
+``{"schema": 1, "command": ..., **fields}``, and returns 0 when all checks
+passed, 1 when a check failed and 2 on a usage or input error.  JSON output is
+deterministic, so two runs of the same command produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,12 +34,7 @@ class UsageError(Exception):
     """Input problems that should exit with status 2."""
 
 
-def _emit(payload: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+Result = tuple[dict, list[str], bool]  # JSON fields, text lines, all checks passed
 
 
 def _spot_check_seed() -> int:
@@ -49,7 +47,7 @@ def _spot_check_seed() -> int:
         raise UsageError(f"TORICCTL_SEED must be an integer, got {raw!r}") from exc
 
 
-def cmd_check_fan(args) -> int:
+def cmd_check_fan(args) -> Result:
     try:
         fan = load_fan(args.path)
     except OSError as exc:
@@ -57,9 +55,7 @@ def cmd_check_fan(args) -> int:
     except FanFormatError as exc:
         raise UsageError(f"bad fan file: {exc}") from exc
     report = analyze(fan)
-    payload = {"schema": SCHEMA_VERSION, "command": "check-fan", "report": report.to_dict()}
-    _emit(payload, report.text_lines(), args.format)
-    return 0 if report.valid else 1
+    return {"report": report.to_dict()}, report.text_lines(), report.valid
 
 
 def _parse_weights(text: str) -> tuple[int, int, int, int]:
@@ -75,38 +71,30 @@ def _parse_weights(text: str) -> tuple[int, int, int, int]:
     return weights
 
 
-def cmd_wps(args) -> int:
+def cmd_wps(args) -> Result:
     weights = _parse_weights(args.weights)
     try:
         fan = build_wps_fan(*weights)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     report = analyze(fan)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "wps",
-        "weights": list(weights),
-        "report": report.to_dict(),
-    }
+    fields = {"weights": list(weights), "report": report.to_dict()}
     lines = report.text_lines()
     if args.emit_fan:
         try:
             save_fan(fan, args.emit_fan)
         except OSError as exc:
             raise UsageError(f"cannot write fan file: {exc}") from exc
-        payload["emitted"] = args.emit_fan
+        fields["emitted"] = args.emit_fan
         lines.append(f"fan written to {args.emit_fan}")
-    _emit(payload, lines, args.format)
-    return 0 if report.valid else 1
+    return fields, lines, report.valid
 
 
-def cmd_classify_case1(args) -> int:
+def cmd_classify_case1(args) -> Result:
     if args.bound < 2:
         raise UsageError(f"--bound must be >= 2, got {args.bound}")
     records = classify_case1(args.bound)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "classify-case1",
+    fields = {
         "bound": args.bound,
         "solutions": [record.solution.to_dict() for record in records],
         "records": [record.to_dict() for record in records],
@@ -120,11 +108,10 @@ def cmd_classify_case1(args) -> int:
         )
         verdict = record.equivalent_to if record.equivalent_to else "no match"
         lines.append(f"    lattice-equivalent to {verdict}; consistent: {record.ok}")
-    _emit(payload, lines, args.format)
-    return 0 if all(record.ok for record in records) else 1
+    return fields, lines, all(record.ok for record in records)
 
 
-def cmd_verify_sl2(args) -> int:
+def cmd_verify_sl2(args) -> Result:
     if args.sample_points < 0:
         raise UsageError("--sample-points must be nonnegative")
     if not 1 <= args.generators <= 6:
@@ -137,9 +124,7 @@ def cmd_verify_sl2(args) -> int:
     quadric_ok = quadric_family_sanity()
     weight_rows = [rep_weights(k).to_dict() for k in range(7)]
     all_ok = verification.all_vanish and symmetric and quadric_ok
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify-sl2",
+    fields = {
         "verification": verification.to_dict(),
         "images_sign_invariant": symmetric,
         "quadric_family_ok": quadric_ok,
@@ -158,18 +143,12 @@ def cmd_verify_sl2(args) -> int:
         lines.append(
             f"  k={row['k']}: weights {row['weights']}, fixed dim {row['fixed_dim']}"
         )
-    _emit(payload, lines, args.format)
-    return 0 if all_ok else 1
+    return fields, lines, all_ok
 
 
-def cmd_reproduce_paper(args) -> int:
+def cmd_reproduce_paper(args) -> Result:
     seed = _spot_check_seed()
     report = run_reference_suite(seed)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "reproduce-paper",
-        "report": report.to_dict(),
-    }
     lines = []
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -180,8 +159,7 @@ def cmd_reproduce_paper(args) -> int:
     if not report.all_passed:
         first = next(c.name for c in report.checks if not c.passed)
         lines.append(f"first failing check: {first}")
-    _emit(payload, lines, args.format)
-    return 0 if report.all_passed else 1
+    return {"report": report.to_dict()}, lines, report.all_passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,20 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-
     p = sub.add_parser("check-fan", help="validate and analyze a fan file")
     p.add_argument("path", help="path to a fan JSON file")
-    add_format(p)
     p.set_defaults(func=cmd_check_fan)
 
     p = sub.add_parser("wps", help="build and analyze a weighted projective space fan")
     p.add_argument("weights", help="four comma-separated positive weights, e.g. 1,1,2,3")
     p.add_argument("--emit-fan", metavar="PATH", help="also write the fan file")
-    add_format(p)
     p.set_defaults(func=cmd_wps)
 
     p = sub.add_parser(
@@ -215,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve the linking equations and reconstruct the matching fan",
     )
     p.add_argument("--bound", type=int, required=True, help="search bound for n (>= 2)")
-    add_format(p)
     p.set_defaults(func=cmd_classify_case1)
 
     p = sub.add_parser("verify-sl2", help="verify the invariant-ideal identities")
@@ -231,30 +201,42 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="number of numeric spot-check points per generator",
     )
-    add_format(p)
     p.set_defaults(func=cmd_verify_sl2)
 
     p = sub.add_parser(
         "reproduce-paper",
         help="run every built-in reference computation and assert its expected result",
     )
-    add_format(p)
     p.set_defaults(func=cmd_reproduce_paper)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
     return parser
 
 
+# Built once per process, at import, so the handlers bound by ``set_defaults``
+# are the module's own functions whatever later rebinds the ``cmd_*`` names.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        fields, lines, ok = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA_VERSION, "command": args.command, **fields}, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

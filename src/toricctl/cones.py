@@ -251,33 +251,23 @@ def fan_walls(fan: Fan) -> Counter:
 def is_complete(fan: Fan) -> bool:
     """Wall criterion for completeness of a valid pure simplicial fan in Z^3.
 
-    True iff every wall lies in exactly two maximal cones and the wall
-    adjacency graph is connected.  Callers are expected to have validated the
-    fan first; degenerate cones are rejected here outright.
+    True iff the fan has a cone and every wall lies in exactly two maximal
+    cones.  Proof of sufficiency for a valid fan: two cones on a wall meet
+    exactly in that wall, so they lie on opposite sides of it and cover a
+    neighbourhood of each point inside the wall.  Around each ray the cones
+    containing it follow one another wall by wall and close up into cycles,
+    and two such cycles cannot overlap, so they cover a neighbourhood of each
+    point of the ray but 0.  The support minus 0 is thus open in R^3 minus 0,
+    and closed as a finite union of closed cones; R^3 minus 0 is connected, so
+    a nonempty support is all of R^3.  Callers are expected to have validated
+    the fan first; degenerate cones are rejected here outright.
     """
     if not fan.cones:
         return False
     for k in range(len(fan.cones)):
         if det_adjugate3(tuple(zip(*fan.cone_rays(k))))[0] == 0:
             raise ValueError(f"cone {list(fan.cones[k])} is degenerate")
-    walls = fan_walls(fan)
-    if any(count != 2 for count in walls.values()):
-        return False
-    # connectivity of the wall-adjacency graph
-    by_wall: dict[frozenset, list[int]] = {}
-    for k, cone in enumerate(fan.cones):
-        for pair in combinations(sorted(cone), 2):
-            by_wall.setdefault(frozenset(pair), []).append(k)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        k = frontier.pop()
-        for pair in combinations(sorted(fan.cones[k]), 2):
-            for other in by_wall[frozenset(pair)]:
-                if other not in reached:
-                    reached.add(other)
-                    frontier.append(other)
-    return len(reached) == len(fan.cones)
+    return all(count == 2 for count in fan_walls(fan).values())
 
 
 # ---------------------------------------------------------------------------

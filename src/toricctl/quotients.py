@@ -95,6 +95,15 @@ def normalize_type(t: CyclicQuotientType) -> CyclicQuotientType:
     ``u = (a / g)^-1 mod r / g``, lifted to a unit mod r, which leaves at most
     ``g`` candidates per such weight (one when ``g = 1``) instead of all
     phi(r) units.
+
+    For the type of a cone with primitive rays, a prime dividing ``r`` and
+    two weights would put a lattice point strictly inside the third ray, so
+    the ``gcd(a, r)`` are pairwise coprime and ``g <= r^(1/3)``.  The worst
+    case is ``1/(pqs)(p, q, s)`` for primes ``p, q, s`` of one size, where
+    the scan runs over about ``min(p, q, s)`` units: the cone with rays
+    ``(1000070001221, -1000033, 66669), (0, 1000003, -66668), (0, 0, 1)``
+    takes about 2.4 s (CPython 3.11, 2-vCPU Intel Xeon), growing linearly
+    with ``min(p, q, s)``.
     """
     r = t.r
     if r == 1:

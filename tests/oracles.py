@@ -292,6 +292,29 @@ def stellar_fan(rng: random.Random, stars: int, span: int = 3):
     return rays, cones
 
 
+def is_complete_by_wall_graph(cones) -> bool:
+    """Completeness of a valid fan: every wall in exactly two cones, and the
+    graph joining cones across walls connected (breadth-first search)."""
+    if not cones:
+        return False
+    by_wall: dict[frozenset, list[int]] = {}
+    for k, cone in enumerate(cones):
+        for pair in combinations(sorted(cone), 2):
+            by_wall.setdefault(frozenset(pair), []).append(k)
+    if any(len(owners) != 2 for owners in by_wall.values()):
+        return False
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        k = frontier.pop()
+        for pair in combinations(sorted(cones[k]), 2):
+            for other in by_wall[frozenset(pair)]:
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+    return len(reached) == len(cones)
+
+
 def random_matrix(rng: random.Random, rows: int = 3, cols: int = 3, span: int = 20):
     return tuple(
         tuple(rng.randint(-span, span) for _ in range(cols)) for _ in range(rows)

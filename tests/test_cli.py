@@ -3,8 +3,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from toricctl import reference
+from toricctl import cli, reference
 from toricctl.cli import main
 from toricctl.cones import fan_to_json, load_fan, make_fan
 from toricctl.varieties import build_wps_fan
@@ -102,6 +103,48 @@ def test_check_fan_wrong_types(tmp_path, capsys, content, expected):
     assert code == 2
     assert out == ""
     assert expected in err and "Traceback" not in err
+
+
+# Small integers only, so that no fan has a large group order.
+_INT = st.integers(-6, 7)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INT | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_TRIPLE = st.lists(_INT, min_size=3, max_size=3)
+_FAN_DOC = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=4),
+        "dim": st.just(3),
+        "rays": st.lists(_TRIPLE, max_size=6),
+        "cones": st.lists(st.lists(st.integers(-1, 6), min_size=3, max_size=3), max_size=6),
+    }
+)
+_JUNK_FAN_DOC = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=4) | _JSON,
+        "dim": st.just(3) | _JSON,
+        "rays": st.lists(_TRIPLE | _JSON, max_size=6) | _JSON,
+        "cones": st.lists(_TRIPLE | _JSON, max_size=6) | _JSON,
+    }
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_JSON | _FAN_DOC | _JUNK_FAN_DOC)
+def test_check_fan_survives_arbitrary_json(tmp_path, capsys, document):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "check-fan", str(path), "--format", fmt)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if fmt == "json" and code != 2:
+            assert json.loads(out)["command"] == "check-fan"
 
 
 def test_check_fan_empty_fan_is_the_trivial_fan(tmp_path, capsys):
@@ -293,6 +336,19 @@ def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("build_parser called after import")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    codes = [main([]), main(["wps", "1,2"])]
+    capsys.readouterr()
+    first = run(capsys, "wps", "1,1,2,3", "--format", "json")
+    second = run(capsys, "wps", "1,1,2,3", "--format", "json")
+    assert codes + [first[0], second[0]] == [2, 2, 0, 0]
+    assert first[1] == second[1]
 
 
 def test_all_json_payloads_have_schema(tmp_path, capsys):

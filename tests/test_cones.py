@@ -326,6 +326,18 @@ def test_incomplete_two_cone_fan():
     assert not is_complete(fan)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.floats(0.0, 1.0))
+def test_wall_count_matches_wall_graph_search(seed, stars, drop):
+    # valid fans, complete or not: a stellar fan with random cones removed
+    rng = random.Random(seed)
+    rays, fan_cones = oracles.stellar_fan(rng, stars)
+    fan_cones = [cone for cone in fan_cones if rng.random() >= drop]
+    fan = make_fan("stellar-minus", rays, fan_cones)
+    assert validate_fan(fan).ok
+    assert is_complete(fan) == oracles.is_complete_by_wall_graph(fan_cones)
+
+
 def test_is_complete_rejects_degenerate():
     fan = make_fan("degen", [E1, E2, (1, 1, 0)], [(0, 1, 2)])
     with pytest.raises(ValueError):

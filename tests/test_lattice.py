@@ -184,6 +184,21 @@ def test_snf_examples():
     assert invariant_factors(columns(E1, E2, V)) == (1, 1, 3)
 
 
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+    rng = random.Random(8128)
+    for k in range(300):
+        m = random_matrix(rng, span=12)
+        if k % 3 == 0:  # rank deficient: the last row a combination of the others
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            m = m[:2] + (tuple(s * a + t * b for a, b in zip(*m[:2])),)
+        d = smith_normal_form(m)[0]
+        expected = sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+        assert [d[i][i] for i in range(3)] == [abs(int(x)) for x in expected], m
+
+
 def test_snf_rank_deficient():
     assert _check_snf(((0, 0), (0, 0))) == [0, 0]
     assert _check_snf(((1, 2, 3), (2, 4, 6), (3, 6, 9)))[1:] == [0, 0]

@@ -233,6 +233,10 @@ def test_quotient_type_examples():
     assert quotient_type(make_cone(E1, E2, V)) == CyclicQuotientType(3, (1, 1, 2))
     assert quotient_type(make_cone(E1, E3, V)) == CyclicQuotientType(2, (1, 1, 1))
     assert quotient_type(make_cone((1, 0, 0), (1, 2, 0), (1, 0, 2))) == NonCyclicType((2, 2))
+    # r = 101 * 103 * 107 and every weight shares one prime with r: g = 101 near r^(1/3)
+    assert quotient_type(make_cone((11021, -103, 2), (0, 101, -3), (0, 0, 1))) == (
+        CyclicQuotientType(1113121, (101, 103, 107))
+    )
 
 
 def test_quotient_type_matches_multiplicity():
@@ -259,6 +263,24 @@ def test_quotient_type_invariant_under_unimodular_maps():
         g = random_unimodular(rng)
         mapped = tuple(mat_vec(g, ray) for ray in rays)
         assert quotient_type(make_cone(*rays)) == quotient_type(make_cone(*mapped))
+
+
+_RAY = st.tuples(*[st.integers(-30, 30)] * 3).filter(lambda ray: gcd(*ray) == 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(_RAY, _RAY, _RAY).filter(lambda rays: det3(tuple(zip(*rays))) != 0))
+@example(((11021, -103, 2), (0, 101, -3), (0, 0, 1)))
+def test_quotient_type_weight_gcds_are_pairwise_coprime(rays):
+    # A prime dividing r and two weights puts a lattice point strictly inside
+    # the third ray, which is impossible for a primitive ray; so the
+    # gcd(a_i, r) are pairwise coprime and normalize_type's g is <= r^(1/3).
+    qt = quotient_type(make_cone(*rays))
+    if isinstance(qt, CyclicQuotientType):
+        a = qt.weights
+        assert all(gcd(a[i], a[j], qt.r) == 1 for i, j in ((0, 1), (0, 2), (1, 2)))
+        g = min(gcd(w, qt.r) for w in a)
+        assert g**3 <= qt.r
 
 
 def test_quotient_type_agrees_with_parallelepiped_oracle():

@@ -155,6 +155,26 @@ def test_all_generators_vanish_symbolically():
         assert g.substitute(substitution).is_zero
 
 
+def test_generators_vanish_under_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(poly):
+        symbols = [sympy.Symbol(name) for name in poly.variables]
+        return sympy.Add(
+            *(
+                c * sympy.Mul(*(x**e for x, e in zip(symbols, exps)))
+                for exps, c in poly.terms.items()
+            )
+        )
+
+    substitution = {sympy.Symbol(k): to_sympy(v) for k, v in quotient_map_substitution().items()}
+    generators = [to_sympy(g) for g in invariant_ideal_generators()]
+    assert len(generators) == 6
+    for g in generators:
+        assert g != 0
+        assert sympy.expand(g.subs(substitution, simultaneous=True)) == 0, g
+
+
 def test_verify_invariant_ideal_report():
     report = verify_invariant_ideal()
     assert report.seed == DEFAULT_SPOT_CHECK_SEED
