@@ -1,26 +1,22 @@
 """Exact-arithmetic toolkit for 3-dimensional simplicial toric geometry.
 
 Integer lattices and normal forms, simplicial cones and fans, cyclic quotient
-singularity types with the strict and weak discrepancy criteria, weighted
-projective space fans, and the SL2-invariant polynomial identities, all over
-arbitrary-precision integers and rationals.
+singularity types with the terminal criterion, weighted projective space fans,
+and the SL2-invariant polynomial identities.  The package is integer-only: all
+of it runs on arbitrary-precision integers, with no rationals and no floating
+point.
 """
 
 from .cones import (
-    BOUNDARY,
     Cone,
     Fan,
     FanFormatError,
-    INTERIOR,
-    OUTSIDE,
-    classify_point,
     cone_multiplicity,
     fan_from_dict,
     fan_from_json,
     fan_to_dict,
     fan_to_json,
     is_complete,
-    is_smooth,
     load_fan,
     make_cone,
     make_fan,
@@ -31,30 +27,23 @@ from .lattice import (
     det,
     hermite_normal_form,
     identity,
-    invariant_factors,
     is_primitive,
-    is_unimodular,
     mat_mul,
     mat_vec,
     matrix,
     smith_normal_form,
-    solve_integer,
-    transpose,
 )
 from .quotients import (
     CyclicQuotientType,
     NonCyclicType,
-    is_canonical,
     is_terminal,
     lattice_equivalent,
     normalize_type,
     quotient_type,
-    reid_tai_sum,
     standard_cone,
 )
 from .sl2 import (
     Poly,
-    etale_codim1_compatible,
     invariant_ideal_generators,
     quadric_family,
     quotient_images_sign_invariant,
@@ -69,7 +58,6 @@ from .varieties import (
     LinkingSolution,
     analyze,
     build_wps_fan,
-    class_group_rank,
     classify_case1,
     fan_lattice_equivalent,
     solve_linking_equations,

@@ -28,6 +28,9 @@ from .sl2 import (
 from .varieties import analyze, build_wps_fan, classify_case1
 
 SCHEMA_VERSION = 1
+# verify-sl2 builds and evaluates every spot-check point, so time and memory
+# grow linearly with --sample-points: 100 000 points take under 1 s.
+MAX_SAMPLE_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -114,6 +117,10 @@ def cmd_classify_case1(args) -> Result:
 def cmd_verify_sl2(args) -> Result:
     if args.sample_points < 0:
         raise UsageError("--sample-points must be nonnegative")
+    if args.sample_points > MAX_SAMPLE_POINTS:
+        raise UsageError(
+            f"--sample-points must be at most {MAX_SAMPLE_POINTS}, got {args.sample_points}"
+        )
     if not 1 <= args.generators <= 6:
         raise UsageError("--generators must be between 1 and 6")
     seed = _spot_check_seed()

@@ -13,17 +13,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .lattice import Matrix, Vector, _cross, det_adjugate3, is_primitive
-
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
-
-Rational = int | Fraction
 
 
 class FanFormatError(ValueError):
@@ -61,10 +54,6 @@ def cone_multiplicity(c: Cone) -> int:
     return abs(det_adjugate3(c.ray_matrix())[0])
 
 
-def is_smooth(c: Cone) -> bool:
-    return cone_multiplicity(c) == 1
-
-
 Normals = tuple[Vector, Vector, Vector]
 
 
@@ -80,31 +69,6 @@ def _facet_normals(rays: Sequence[Vector]) -> tuple[int, Normals]:
     if d < 0:
         normals = tuple(tuple(-x for x in n) for n in normals)
     return d, normals
-
-
-def inward_normals(c: Cone) -> Normals:
-    """Integer facet normals: ``x`` lies in the cone iff every ``n . x >= 0``.
-
-    ``n_k`` is the normal of the facet opposite ray ``k``.
-    """
-    return _facet_normals(c.rays)[1]
-
-
-def classify_point(c: Cone, point: Sequence[Rational]) -> str:
-    """Locate a rational point relative to the cone.
-
-    Returns ``"interior"`` (all ray coordinates positive), ``"boundary"``
-    (nonnegative with a zero) or ``"outside"`` (some coordinate negative).
-    """
-    if len(point) != 3:
-        raise ValueError("point must have 3 coordinates")
-    # ray coordinate k is n_k . point / |det|, so it has the sign of n_k . point
-    coords = [sum(n_i * p_i for n_i, p_i in zip(n, point)) for n in inward_normals(c)]
-    if any(t < 0 for t in coords):
-        return OUTSIDE
-    if all(t > 0 for t in coords):
-        return INTERIOR
-    return BOUNDARY
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Conventions, fixed so that results are bit-exact:
 * ``smith_normal_form`` returns ``D = U @ M @ V`` with nonnegative diagonal
   entries forming a divisibility chain, zero factors last.
 
-``det``, the normal forms and ``solve_integer`` are the generic n x n API.
+``det`` and the normal forms are the generic n x n API.
 Every 3x3 determinant, adjugate and unimodular solve in the package goes
 through the closed-form kernel ``det_adjugate3`` and ``unimodular_solve``.
 """
@@ -50,10 +50,6 @@ def matrix(rows: Sequence[Sequence[int]]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -134,13 +130,6 @@ def unimodular_solve(source: Matrix, target: Matrix) -> Matrix | None:
         return None
     g = tuple(tuple(x // d for x in row) for row in numerator)
     return g if det_adjugate3(g)[0] in (1, -1) else None
-
-
-def is_unimodular(m: Matrix) -> bool:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        return False
-    return det(m) in (1, -1)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -324,29 +313,3 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         tuple(tuple(r) for r in u),
         tuple(tuple(r) for r in v),
     )
-
-
-def invariant_factors(m: Matrix) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form, one entry per row/column minimum."""
-    d, _, _ = smith_normal_form(m)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]))))
-
-
-def solve_integer(a: Matrix, b: Sequence[int]) -> Vector | None:
-    """Some integer solution of ``a @ x = b``, or None if none exists."""
-    a = matrix(a)
-    rows, cols = len(a), len(a[0])
-    if len(b) != rows:
-        raise ValueError("right-hand side length does not match matrix rows")
-    d, u, v = smith_normal_form(a)
-    c = mat_vec(u, tuple(b))
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return mat_vec(v, tuple(y))

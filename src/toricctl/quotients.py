@@ -12,8 +12,7 @@ ambiguities (choice of generator, ordering of coordinates).  The search is
 gcd-seeded: only the units that carry a weight of least ``gcd(a, r)`` onto that
 gcd can give the least triple, so ``normalize_type`` never walks all phi(r)
 units.  Terminality is decided by the 3-fold terminal lemma (Morrison-Stevens,
-White-Frumkin) in O(log r) instead of by the r - 1 Reid-Tai sums;
-``is_canonical`` still walks the sums.
+White-Frumkin) in O(log r) instead of by the r - 1 Reid-Tai sums.
 
 Determinants, adjugates and unimodular equivalences of the 3x3 ray matrices
 come from the closed-form kernel ``lattice.det_adjugate3`` and the solver
@@ -23,7 +22,6 @@ come from the closed-form kernel ``lattice.det_adjugate3`` and the solver
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
@@ -102,8 +100,11 @@ def normalize_type(t: CyclicQuotientType) -> CyclicQuotientType:
     case is ``1/(pqs)(p, q, s)`` for primes ``p, q, s`` of one size, where
     the scan runs over about ``min(p, q, s)`` units: the cone with rays
     ``(1000070001221, -1000033, 66669), (0, 1000003, -66668), (0, 0, 1)``
-    takes about 2.4 s (CPython 3.11, 2-vCPU Intel Xeon), growing linearly
-    with ``min(p, q, s)``.
+    takes about 2.2 s (CPython 3.11, 2-vCPU Intel Xeon), growing linearly
+    with ``min(p, q, s)``.  ``wps p,q,s,pqs`` reaches the same scan with no
+    fan file: the chart of the weight ``pqs`` has type ``1/(pqs)(p, q, s)``,
+    and no weight is capped (about 0.16 s for primes near 10^5 on the same
+    machine).
     """
     r = t.r
     if r == 1:
@@ -149,13 +150,6 @@ def quotient_type(c: Cone) -> QuotientType:
     return normalize_type(CyclicQuotientType(r, weights))
 
 
-def reid_tai_sum(t: CyclicQuotientType, k: int) -> Fraction:
-    """The sum of fractional parts ``sum_i frac(k * a_i / r)``, exactly."""
-    if not 1 <= k <= t.r - 1:
-        raise ValueError(f"k must lie in 1..{t.r - 1}, got {k}")
-    return Fraction(sum((k * a) % t.r for a in t.weights), t.r)
-
-
 def is_terminal(t: CyclicQuotientType) -> bool:
     """Terminal iff every Reid-Tai sum exceeds 1, decided by the terminal lemma.
 
@@ -176,20 +170,6 @@ def is_terminal(t: CyclicQuotientType) -> bool:
         or ((a + c) % r == 0 and ua and ub)
         or ((b + c) % r == 0 and ub and ua)
     )
-
-
-def is_canonical(t: CyclicQuotientType) -> bool:
-    """Canonical iff every Reid-Tai sum is at least 1.
-
-    Walks all r - 1 sums, so it is O(r): no closed form with a proof in this
-    repository replaces it.  No CLI command calls it.
-    """
-    r = t.r
-    a1, a2, a3 = t.weights
-    for k in range(1, r):
-        if (k * a1) % r + (k * a2) % r + (k * a3) % r < r:
-            return False
-    return True
 
 
 def standard_cone(n: int) -> Cone:

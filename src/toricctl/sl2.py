@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
 from typing import Mapping, Sequence
 
 # Fixed variable precedence; names outside this list sort after, alphabetically.
@@ -399,11 +398,3 @@ def rep_weights(k: int) -> RepWeights:
     if type(k) is not int or k < 0:
         raise ValueError("k must be a nonnegative integer")
     return RepWeights(k, tuple(range(k, -k - 1, -2)))
-
-
-def etale_codim1_compatible(a: int, n: int) -> bool:
-    """Whether weight ``a`` is admissible for a cover of order ``n`` that is
-    unramified in codimension one: gcd(a mod n, n) == 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return gcd(a % n, n) == 1

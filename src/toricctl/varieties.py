@@ -96,20 +96,6 @@ class AnalysisReport:
         return lines
 
 
-def class_group_rank(fan: Fan) -> int:
-    """Free rank of the divisor class group of a valid complete simplicial fan.
-
-    For such fans this is ``#rays - 3`` and agrees with the Picard number
-    over Q.  Invalid or incomplete fans are rejected.
-    """
-    validation = validate_fan(fan)
-    if not validation.ok:
-        raise ValueError("fan is not valid: " + "; ".join(validation.problems))
-    if not is_complete(fan):
-        raise ValueError("fan is not complete; class rank formula does not apply")
-    return len(fan.rays) - 3
-
-
 def analyze(fan: Fan) -> AnalysisReport:
     """Full audit: validity, completeness, per-cone singularity types, rank."""
     validation = validate_fan(fan)

@@ -85,6 +85,11 @@ def reid_tai_terminal(r: int, weights) -> bool:
     return all(sum(k * a % r for a in weights) > r for k in range(1, r))
 
 
+def reid_tai_canonical(r: int, weights) -> bool:
+    """Is 1/r(weights) canonical: is every Reid-Tai sum for k = 1..r-1 at least 1?"""
+    return all(sum(k * a % r for a in weights) >= r for k in range(1, r))
+
+
 def parallelepiped_points(rays):
     """All lattice points of the half-open parallelepiped spanned by the rays.
 

@@ -269,6 +269,7 @@ def test_verify_sl2_subset_and_samples(capsys):
 def test_verify_sl2_bad_options(capsys):
     assert run(capsys, "verify-sl2", "--generators", "9")[0] == 2
     assert run(capsys, "verify-sl2", "--sample-points", "-1")[0] == 2
+    assert run(capsys, "verify-sl2", "--sample-points", "100001")[0] == 2
 
 
 def test_verify_sl2_seed_env(monkeypatch, capsys):

@@ -1,16 +1,11 @@
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricctl.cones import (
-    BOUNDARY,
     FanFormatError,
-    INTERIOR,
-    OUTSIDE,
-    classify_point,
     cone_multiplicity,
     fan_from_dict,
     fan_from_json,
@@ -18,13 +13,13 @@ from toricctl.cones import (
     fan_to_json,
     fan_walls,
     is_complete,
-    is_smooth,
     make_cone,
     make_fan,
     validate_fan,
 )
 from toricctl import cones
-from toricctl.varieties import class_group_rank
+from toricctl.quotients import quotient_type
+from toricctl.varieties import analyze
 from tests import oracles
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -65,9 +60,9 @@ def test_multiplicity_examples():
 
 
 def test_smoothness_examples():
-    assert is_smooth(UNIT_CONE)
-    assert is_smooth(make_cone(E2, E3, V))
-    assert not is_smooth(make_cone(E1, E2, V))
+    assert quotient_type(UNIT_CONE).is_smooth
+    assert quotient_type(make_cone(E2, E3, V)).is_smooth
+    assert not quotient_type(make_cone(E1, E2, V)).is_smooth
 
 
 def test_multiplicity_is_a_lattice_invariant():
@@ -91,15 +86,16 @@ def test_multiplicity_is_a_lattice_invariant():
 def test_smooth_iff_unit_invariant_factors():
     import random
 
-    from toricctl.lattice import invariant_factors
+    from toricctl.lattice import smith_normal_form
     from tests.oracles import random_valid_cone_rays
 
     rng = random.Random(911)
     for _ in range(40):
         rays = random_valid_cone_rays(rng)
         c = make_cone(*rays)
-        factors = invariant_factors(c.ray_matrix())
-        assert is_smooth(c) == (cone_multiplicity(c) == 1) == (factors == (1, 1, 1))
+        d = smith_normal_form(c.ray_matrix())[0]
+        factors = tuple(d[i][i] for i in range(3))
+        assert (cone_multiplicity(c) == 1) == (factors == (1, 1, 1))
 
 
 def test_cone_constructor_rejects_bad_input():
@@ -114,23 +110,20 @@ def test_cone_constructor_rejects_bad_input():
 
 
 def test_classify_point_examples():
-    assert classify_point(UNIT_CONE, (1, 1, 1)) == INTERIOR
-    assert classify_point(UNIT_CONE, (1, 0, 0)) == BOUNDARY
-    assert classify_point(UNIT_CONE, (-1, 0, 0)) == OUTSIDE
-    assert classify_point(UNIT_CONE, (0, 0, 0)) == BOUNDARY
-    assert classify_point(UNIT_CONE, (Fraction(1, 2), Fraction(3, 7), 2)) == INTERIOR
-    with pytest.raises(ValueError):
-        classify_point(UNIT_CONE, (1, 2))
+    # x lies in the cone iff every inward facet normal n has n . x >= 0, and in
+    # its interior iff every n . x > 0; both orientations of the ray triple
+    def dots(normals, x):
+        return [sum(n_i * x_i for n_i, x_i in zip(n, x)) for n in normals]
 
-
-@given(
-    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
-    st.fractions(min_value=Fraction(1, 100), max_value=100),
-)
-def test_classify_point_scale_invariant(point, scale):
-    c = make_cone(E1, E2, V)
-    scaled = tuple(scale * x for x in point)
-    assert classify_point(c, point) == classify_point(c, scaled)
+    for rays in ((E1, E2, E3), (E1, E2, V), (V, E2, E1)):
+        normals = cones._facet_normals(rays)[1]
+        inside = tuple(map(sum, zip(*rays)))
+        assert all(t > 0 for t in dots(normals, inside))
+        assert all(t < 0 for t in dots(normals, tuple(-x for x in inside)))
+        for k, ray in enumerate(rays):
+            on_ray = dots(normals, ray)
+            assert on_ray[k] > 0 and on_ray[:k] + on_ray[k + 1 :] == [0, 0]
+        assert dots(normals, (0, 0, 0)) == [0, 0, 0]
 
 
 # -- fan validation --------------------------------------------------------------
@@ -161,8 +154,9 @@ def test_validate_detects_interior_overlap():
     # independent witness: an exact common interior point of the two cones,
     # namely 2*(1,1,1) + (0,1,0) + (-1,0,0)
     witness = (1, 3, 2)
-    assert classify_point(fan.simplicial_cone(0), witness) == INTERIOR
-    assert classify_point(fan.simplicial_cone(1), witness) == INTERIOR
+    for k in (0, 1):
+        normals = oracles._inward_normals(fan.cone_rays(k))
+        assert all(sum(n_i * x_i for n_i, x_i in zip(n, witness)) > 0 for n in normals)
 
 
 def test_validate_detects_non_primitive_ray():
@@ -291,7 +285,7 @@ def test_stellar_subdivisions_stay_valid_and_complete():
         assert validate_fan(fan).ok
         assert oracles.fan_problems(rays, fan_cones) == []
         assert is_complete(fan)
-        assert class_group_rank(fan) == len(rays) - 3
+        assert analyze(fan).class_rank == len(rays) - 3
 
 
 def test_fan_constructor_structural_checks():

@@ -8,14 +8,10 @@ from toricctl.lattice import (
     det_adjugate3,
     hermite_normal_form,
     identity,
-    invariant_factors,
     is_primitive,
-    is_unimodular,
     mat_mul,
-    mat_vec,
     matrix,
     smith_normal_form,
-    solve_integer,
     unimodular_solve,
     xgcd,
 )
@@ -181,7 +177,6 @@ def test_snf_examples():
     assert _check_snf(identity(3)) == [1, 1, 1]
     assert _check_snf(columns(E1, E2, V)) == [1, 1, 3]
     assert _check_snf(columns((2, 0, 0), (0, 2, 0), E3)) == [1, 2, 2]
-    assert invariant_factors(columns(E1, E2, V)) == (1, 1, 3)
 
 
 def test_snf_diagonal_matches_sympy():
@@ -216,42 +211,6 @@ def test_snf_properties_rectangular(m):
     _check_snf(m)
 
 
-# -- integer solving ----------------------------------------------------------
-
-
-def test_solve_examples():
-    assert solve_integer(identity(3), (5, -7, 11)) == (5, -7, 11)
-    assert solve_integer(((2,),), (3,)) is None
-    a = columns(E1, E2, V)
-    x = solve_integer(a, (0, 0, -3))
-    assert x is not None
-    assert mat_vec(a, x) == (0, 0, -3)
-    # the system is nonsingular, so the solution is unique
-    assert x == (1, 2, 1)
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_integer(identity(3), (1, 2))
-
-
-@given(matrices(3, 3), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
-@settings(deadline=None)
-def test_solve_recovers_constructed_solutions(a, x):
-    b = mat_vec(a, tuple(x))
-    sol = solve_integer(a, b)
-    assert sol is not None
-    assert mat_vec(a, sol) == b
-
-
-@given(matrices(3, 3), st.lists(st.integers(-30, 30), min_size=3, max_size=3))
-@settings(deadline=None)
-def test_solve_substitutes_back(a, b):
-    sol = solve_integer(a, tuple(b))
-    if sol is not None:
-        assert mat_vec(a, sol) == tuple(b)
-
-
 # -- primitivity and misc ------------------------------------------------------
 
 
@@ -268,9 +227,6 @@ def test_matrix_validation():
         matrix(((1, 2), (3,)))
     with pytest.raises(ValueError):
         matrix(((1, 2.5),))
-    assert is_unimodular(((1, 1), (0, 1)))
-    assert not is_unimodular(((2, 0), (0, 1)))
-    assert not is_unimodular(((1, 0, 0), (0, 1, 0)))
 
 
 def test_acceptance_style_bulk_roundtrip():

@@ -1,6 +1,5 @@
 import random
 import time
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import gcd
 
@@ -12,12 +11,10 @@ from toricctl.lattice import mat_vec
 from toricctl.quotients import (
     CyclicQuotientType,
     NonCyclicType,
-    is_canonical,
     is_terminal,
     lattice_equivalent,
     normalize_type,
     quotient_type,
-    reid_tai_sum,
     standard_cone,
 )
 from tests.oracles import (
@@ -26,6 +23,7 @@ from tests.oracles import (
     oracle_quotient,
     random_unimodular,
     random_valid_cone_rays,
+    reid_tai_canonical,
     reid_tai_terminal,
 )
 
@@ -143,25 +141,11 @@ def test_quotient_type_and_terminal_at_order_one_million_are_fast():
 # -- Reid-Tai sums and terminality ------------------------------------------------
 
 
-def test_reid_tai_examples():
-    assert reid_tai_sum(CyclicQuotientType(2, (1, 1, 1)), 1) == Fraction(3, 2)
-    assert reid_tai_sum(CyclicQuotientType(3, (1, 1, 2)), 1) == Fraction(4, 3)
-    assert reid_tai_sum(CyclicQuotientType(2, (1, 1, 0)), 1) == 1
-
-
-def test_reid_tai_rejects_bad_k():
-    t = CyclicQuotientType(3, (1, 1, 2))
-    with pytest.raises(ValueError):
-        reid_tai_sum(t, 0)
-    with pytest.raises(ValueError):
-        reid_tai_sum(t, 3)
-
-
 def test_terminal_examples():
     assert is_terminal(CyclicQuotientType(3, (1, 1, 2)))
     t = CyclicQuotientType(2, (1, 1, 0))
     assert not is_terminal(t)
-    assert is_canonical(t)
+    assert reid_tai_canonical(t.r, t.weights)
     assert is_terminal(CyclicQuotientType(1, (0, 0, 0)))
 
 
@@ -173,7 +157,7 @@ def test_standard_family_is_terminal():
             t = CyclicQuotientType(r, (1, r - 1, b))
             assert is_terminal(t), (r, b)
             # cross-check against the exhaustive Reid-Tai loop
-            assert all(reid_tai_sum(t, k) > 1 for k in range(1, r))
+            assert reid_tai_terminal(r, t.weights)
 
 
 def test_alternating_weight_family_is_terminal():
@@ -220,8 +204,8 @@ def test_terminal_implies_canonical(r, weights):
         return
     t = CyclicQuotientType(r, weights)
     if is_terminal(t):
-        assert is_canonical(t)
-    if not is_canonical(t):
+        assert reid_tai_canonical(r, t.weights)
+    if not reid_tai_canonical(r, t.weights):
         assert not is_terminal(t)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from toricctl.sl2 import (
     DEFAULT_SPOT_CHECK_SEED,
     Poly,
-    etale_codim1_compatible,
     invariant_ideal_generators,
     quadric_family,
     quotient_images_sign_invariant,
@@ -251,15 +250,3 @@ def test_rep_weights_properties():
         assert rw.weights == tuple(sorted(rw.weights, reverse=True))
         assert rw.fixed_space_dim == (1 if k % 2 == 0 else 0)
         assert rw.fixed_space_dim == (1 if 0 in rw.weights else 0)
-
-
-# -- coprimality check ---------------------------------------------------------------
-
-
-def test_etale_codim1_examples():
-    assert etale_codim1_compatible(1, 5)
-    assert not etale_codim1_compatible(2, 4)
-    for n in range(1, 51):
-        assert etale_codim1_compatible(-1, n)
-    with pytest.raises(ValueError):
-        etale_codim1_compatible(1, 0)

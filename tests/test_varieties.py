@@ -9,7 +9,6 @@ from toricctl.varieties import (
     LinkingSolution,
     analyze,
     build_wps_fan,
-    class_group_rank,
     classify_case1,
     fan_lattice_equivalent,
     solve_linking_equations,
@@ -70,7 +69,7 @@ def test_wps_permutation_invariance():
 
 def test_wps_rank_one_for_well_formed_weights():
     for weights in [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 3), (1, 2, 3, 5), (2, 3, 5, 7), (3, 4, 5, 7)]:
-        assert class_group_rank(build_wps_fan(*weights)) == 1
+        assert analyze(build_wps_fan(*weights)).class_rank == 1
 
 
 # -- analysis -------------------------------------------------------------------
@@ -140,18 +139,16 @@ def test_analyze_report_serializes():
 
 
 def test_class_group_rank_examples():
-    assert class_group_rank(build_wps_fan(1, 1, 2, 3)) == 1
-    assert class_group_rank(build_wps_fan(1, 1, 1, 1)) == 1
+    assert analyze(build_wps_fan(1, 1, 2, 3)).class_rank == 1
+    assert analyze(build_wps_fan(1, 1, 1, 1)).class_rank == 1
     rays = [E1, E2, E3, (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
     cones = [(i, j, k) for i in (0, 3) for j in (1, 4) for k in (2, 5)]
-    assert class_group_rank(make_fan("(P1)^3", rays, cones)) == 3
+    assert analyze(make_fan("(P1)^3", rays, cones)).class_rank == 3
 
 
 def test_class_group_rank_preconditions():
-    with pytest.raises(ValueError):
-        class_group_rank(make_fan("unit", [E1, E2, E3], [(0, 1, 2)]))  # incomplete
-    with pytest.raises(ValueError):
-        class_group_rank(make_fan("degen", [E1, E2, (1, 1, 0)], [(0, 1, 2)]))
+    assert analyze(make_fan("unit", [E1, E2, E3], [(0, 1, 2)])).class_rank is None  # incomplete
+    assert analyze(make_fan("degen", [E1, E2, (1, 1, 0)], [(0, 1, 2)])).class_rank is None
 
 
 # -- linking equations ------------------------------------------------------------
