@@ -10,8 +10,9 @@ Types are normalized by rescaling with units mod ``r`` and sorting, so that
 equality of normalized types is equality of singularities up to the usual
 ambiguities (choice of generator, ordering of coordinates).  The search is
 gcd-seeded: only the units that carry a weight of least ``gcd(a, r)`` onto that
-gcd can give the least triple, so ``normalize_type`` never walks all phi(r)
-units.  Terminality is decided by the 3-fold terminal lemma (Morrison-Stevens,
+gcd can give the least triple, and for the type of a cone the best of them is
+found in a few gcd steps, so ``normalize_type`` never walks the phi(r) units.
+Terminality is decided by the 3-fold terminal lemma (Morrison-Stevens,
 White-Frumkin) in O(log r) instead of by the r - 1 Reid-Tai sums.
 
 Determinants, adjugates and unimodular equivalences of the 3x3 ray matrices
@@ -22,7 +23,7 @@ come from the closed-form kernel ``lattice.det_adjugate3`` and the solver
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 from .cones import Cone
@@ -79,6 +80,27 @@ class NonCyclicType:
 QuotientType = CyclicQuotientType | NonCyclicType
 
 
+def _least_image_unit(u0: int, m: int, g: int, b: int) -> int:
+    """The unit ``u = u0 + m*t`` mod ``r = m*g`` (``0 <= t < g``) with the least
+    ``u*b mod r``, for ``gcd(u0, m) = gcd(b, g) = 1`` and ``g > 1``.
+
+    With ``u0*b = m*Q + R`` and ``R < m``, ``u*b mod r = R + m*q`` for
+    ``q = (Q + t*b) mod g``, a bijection of Z/g since ``gcd(b, g) = 1``; so
+    the steps ``q = 0, 1, 2, ...`` give the images in increasing order, and
+    the first ``u`` coprime to ``r`` wins.  A prime of ``m`` never divides
+    ``u``, and a prime of ``g`` that does not divide ``m`` excludes one
+    residue class of ``q``, so a few steps suffice.
+    """
+    r = m * g
+    q0 = u0 * b // m
+    inverse = pow(b, -1, g)
+    for q in range(g):
+        u = u0 + m * ((q - q0) * inverse % g)
+        if gcd(u, r) == 1:
+            return u
+    raise AssertionError(f"no unit in the coset of {u0} mod {m}")
+
+
 def normalize_type(t: CyclicQuotientType) -> CyclicQuotientType:
     """Canonical representative: lexicographically least sorted weight triple
     over all rescalings by units mod r.
@@ -90,34 +112,45 @@ def normalize_type(t: CyclicQuotientType) -> CyclicQuotientType:
     ``gcd(a, r)`` over the nonzero weights; a weight 0 has ``gcd(0, r) = r``,
     above every other, so taking the least over all weights is the same.  Only
     units sending a weight with ``gcd(a, r) = g`` to ``g`` can win:
-    ``u = (a / g)^-1 mod r / g``, lifted to a unit mod r, which leaves at most
-    ``g`` candidates per such weight (one when ``g = 1``) instead of all
-    phi(r) units.
+    ``u = (a / g)^-1 mod m`` with ``m = r / g``, lifted to a unit mod r.  When
+    ``g = 1`` that is one unit per such weight.
 
-    For the type of a cone with primitive rays, a prime dividing ``r`` and
-    two weights would put a lattice point strictly inside the third ray, so
-    the ``gcd(a, r)`` are pairwise coprime and ``g <= r^(1/3)``.  The worst
-    case is ``1/(pqs)(p, q, s)`` for primes ``p, q, s`` of one size, where
-    the scan runs over about ``min(p, q, s)`` units: the cone with rays
-    ``(1000070001221, -1000033, 66669), (0, 1000003, -66668), (0, 0, 1)``
-    takes about 2.2 s (CPython 3.11, 2-vCPU Intel Xeon), growing linearly
-    with ``min(p, q, s)``.  ``wps p,q,s,pqs`` reaches the same scan with no
-    fan file: the chart of the weight ``pqs`` has type ``1/(pqs)(p, q, s)``,
-    and no weight is capped (about 0.16 s for primes near 10^5 on the same
-    machine).
+    When ``g > 1`` and the ``gcd(a_i, r)`` are pairwise coprime, as they are
+    for the type of every cone with primitive rays (a prime dividing ``r`` and
+    two weights would put a lattice point strictly inside the third ray),
+    exactly one weight ``a`` has ``gcd(a, r) = g``, and the other two, ``b``
+    and ``c``, are coprime to ``g``.  The candidates ``u0 + m*t`` all send
+    ``a`` to ``g``; the least triple is ``(g, x, y)`` with ``x`` the least
+    image of ``b`` or of ``c`` over the candidates, so the winner is the
+    candidate that minimizes ``u*b mod r`` or the one that minimizes
+    ``u*c mod r``, each found in a few steps by ``_least_image_unit``.  This
+    covers ``1/(pqs)(p, q, s)``, reached by ``check-fan`` on the cone with
+    rays ``(1000070001221, -1000033, 66669), (0, 1000003, -66668), (0, 0, 1)``
+    and by ``wps p,q,s,pqs``, where a scan of the candidates took seconds.
+
+    Types whose gcds are not pairwise coprime, such as
+    ``1/(pqs)(pq, qs, ps)``, come only from the library, never from
+    ``quotient_type``; for them all up to ``g`` candidates per weight are
+    scanned, O(g).
     """
     r = t.r
     if r == 1:
         return CyclicQuotientType(1, (0, 0, 0))
-    g = min(gcd(a, r) for a in t.weights)
+    gcds = [gcd(a, r) for a in t.weights]
+    g = min(gcds)
     m = r // g
-    seeds = {a // g for a in t.weights if gcd(a, r) == g}
-    best = min(
-        tuple(sorted(u * a % r for a in t.weights))
-        for s in seeds
-        for u in range(pow(s, -1, m), r, m)
-        if gcd(u, r) == 1
-    )
+    if g > 1 and all(gcd(x, y) == 1 for x, y in combinations(gcds, 2)):
+        (_, a), (_, b), (_, c) = sorted(zip(gcds, t.weights))
+        u0 = pow(a // g, -1, m)
+        units = (_least_image_unit(u0, m, g, b), _least_image_unit(u0, m, g, c))
+    else:
+        units = (
+            u
+            for s in {a // g for a, d in zip(t.weights, gcds) if d == g}
+            for u in range(pow(s, -1, m), r, m)
+            if gcd(u, r) == 1
+        )
+    best = min(tuple(sorted(u * a % r for a in t.weights)) for u in units)
     return CyclicQuotientType(r, best)
 
 
@@ -127,23 +160,24 @@ def quotient_type(c: Cone) -> QuotientType:
     The Smith normal form ``D = U R V`` of the ray matrix identifies
     ``Z^3 / R Z^3`` with the product of ``Z / d_i``; when cyclic, the class of
     the matching column of ``U^-1`` generates, and its ray coordinates give
-    the action weights.  Since ``d1 d2 d3 = |det R|``, a cyclic group has
+    the action weights.  A cone with ``|det R| = 1`` is smooth and needs no
+    Smith form.  Since ``d1 d2 d3 = |det R|``, a cyclic group has
     order ``r = |det R|``, so ``adj(R) g`` is ``r`` times the ray coordinates
     ``adj(R) g / det R`` of the generator ``sign(det R) g``.  The signs are
     immaterial: normalization rescales by the unit -1 as well.
     """
     m = c.ray_matrix()
+    dm, adj_m = det_adjugate3(m)
+    if abs(dm) == 1:
+        return CyclicQuotientType(1, (0, 0, 0))
     d_mat, u_mat, _ = smith_normal_form(m)
     factors = tuple(d_mat[i][i] for i in range(3))
     nontrivial = tuple(f for f in factors if f != 1)
     if len(nontrivial) >= 2:
         return NonCyclicType(nontrivial)
     r = factors[2]
-    if r == 1:
-        return CyclicQuotientType(1, (0, 0, 0))
     # det U is +-1, so adj(U) = +-U^-1 and its last column generates too.
     generator = tuple(row[2] for row in det_adjugate3(u_mat)[1])
-    dm, adj_m = det_adjugate3(m)
     if abs(dm) != r:
         raise AssertionError(f"group order {r} differs from |det| = {abs(dm)}")
     weights = tuple(x % r for x in mat_vec(adj_m, generator))

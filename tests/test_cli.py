@@ -212,6 +212,40 @@ def test_wps_huge_weight_is_fast(capsys, weights, big_type):
     assert elapsed < 1.0
 
 
+def _best_of_three(capsys, *argv):
+    """Exit code, stdout and the least wall time of three runs of the CLI."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        best = min(best, time.perf_counter() - start)
+    return code, out, best
+
+
+def test_check_fan_cone_of_type_one_over_pqs_is_fast(tmp_path, capsys):
+    # type 1/(pqs)(p, q, s) with p, q, s = 1000003, 1000033, 1000037: the
+    # least gcd(a, r) is p, and normalize_type must not scan p candidates;
+    # the best of three calls absorbs a slow host
+    path = tmp_path / "pqs.json"
+    rays = [[1000070001221, -1000033, 66669], [0, 1000003, -66668], [0, 0, 1]]
+    path.write_text(json.dumps({"name": "pqs", "dim": 3, "rays": rays, "cones": [[0, 1, 2]]}))
+    code, out, best = _best_of_three(capsys, "check-fan", str(path), "--format", "json")
+    assert code == 0
+    cones = json.loads(out)["report"]["cones"]
+    assert [c["type"] for c in cones] == ["1/1000073001431003663(1000003,1000033,1000037)"]
+    assert best < 0.05
+
+
+def test_wps_chart_of_type_one_over_pqs_is_fast(capsys):
+    # the chart of the weight pqs has type 1/(pqs)(p, q, s)
+    p, q, s = 100003, 100019, 100043
+    code, out, best = _best_of_three(capsys, "wps", f"{p},{q},{s},{p * q * s}", "--format", "json")
+    assert code == 0
+    cones = json.loads(out)["report"]["cones"]
+    assert f"1/{p * q * s}({p},{q},{s})" in [c["type"] for c in cones]
+    assert best < 0.05
+
+
 # -- classify-case1 ----------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,6 +290,151 @@ def test_stellar_subdivisions_stay_valid_and_complete():
         assert analyze(fan).class_rank == len(rays) - 3
 
 
+# -- fast accept and separating-facet screen against the reference ----------------
+
+FAN_KINDS = ("stellar", "overlap", "removed", "perturbed")
+
+
+def stellar_or_mutant(rng, kind):
+    """A small stellar fan (valid and complete), or a mutant of one.
+
+    ``overlap`` adds a cone on two rays of an old cone and a point inside it;
+    ``removed`` drops a random cone; ``perturbed`` moves one ray to a random
+    primitive vector, so the cones around it may fold over one another while
+    every wall still lies in two cones.
+    """
+    rays, fan_cones = oracles.stellar_fan(rng, rng.randint(0, 4), span=rng.randint(1, 3))
+    if kind == "overlap":
+        a, b, c = rng.choice(fan_cones)
+        x, y, z = (rng.randint(1, 3) for _ in range(3))
+        inside = tuple(x * p + y * q + z * t for p, q, t in zip(rays[a], rays[b], rays[c]))
+        fan_cones.append((a, b, _add_ray(rays, oracles.primitive_part(inside))))
+    elif kind == "removed":
+        fan_cones.pop(rng.randrange(len(fan_cones)))
+    elif kind == "perturbed":
+        while True:
+            ray = tuple(rng.randint(-3, 3) for _ in range(3))
+            if any(ray):
+                break
+        rays[rng.randrange(len(rays))] = oracles.primitive_part(ray)
+    return rays, fan_cones
+
+
+def _normals_if_fast_path(fan):
+    """The cones' normals when ``validate_fan`` would offer the fan to the
+    fast accept (rays primitive and distinct, cones non-degenerate and
+    distinct), else None."""
+    if len(set(fan.rays)) < len(fan.rays) or any(gcd(*ray) != 1 for ray in fan.rays):
+        return None
+    if len({frozenset(cone) for cone in fan.cones}) < len(fan.cones):
+        return None
+    normals = []
+    for k in range(len(fan.cones)):
+        d, cone_normals = cones._facet_normals(fan.cone_rays(k))
+        if d == 0:
+            return None
+        normals.append(cone_normals)
+    return normals
+
+
+def _check_fast_paths(rays, fan_cones):
+    """Each fast verdict implies the reference one, and the problem lists agree.
+
+    Returns the fast-accept verdict (None when the fan does not reach it) and
+    the set of screen verdicts seen."""
+    fan = make_fan("random", rays, fan_cones)
+    reference = oracles.fan_problems(rays, fan_cones)
+    assert list(validate_fan(fan).problems) == reference
+    normals = _normals_if_fast_path(fan)
+    if normals is None:
+        return None, set()
+    accepted = cones._fast_accept(fan, normals)
+    if accepted:
+        assert reference == []
+        assert oracles.is_complete_by_wall_graph(fan_cones)
+    screened = set()
+    for ca in range(len(fan.cones)):
+        for cb in range(len(fan.cones)):
+            if ca == cb:
+                continue
+            separated = cones._separated(fan, normals, ca, cb)
+            screened.add(separated)
+            if separated:
+                assert oracles.intersection_is_common_face(rays, fan_cones[ca], fan_cones[cb])
+    return accepted, screened
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(FAN_KINDS))
+def test_fast_accept_and_screen_imply_the_reference_verdicts(seed, kind):
+    _check_fast_paths(*stellar_or_mutant(random.Random(seed), kind))
+
+
+def test_fast_paths_see_both_verdicts():
+    # a perturbed ray keeps every wall in two cones, so only the opposite-sides
+    # test and the test point can turn such a fan away
+    rng = random.Random(7)
+    accepted = {kind: set() for kind in FAN_KINDS}
+    screened = set()
+    for kind in FAN_KINDS:
+        for _ in range(20):
+            fast, pairs = _check_fast_paths(*stellar_or_mutant(rng, kind))
+            accepted[kind].add(fast)
+            screened |= pairs
+    assert accepted["stellar"] == {True}
+    assert accepted["removed"] == {False}
+    assert False in accepted["overlap"] and True not in accepted["overlap"]
+    assert {True, False} <= accepted["perturbed"]
+    assert screened == {True, False}
+
+
+# Equator rays of the "pentagram" fans, 144 degrees apart in turn.  In the
+# second set cone 0's ray sum (19, 60, 1) lies on the wall of rays 3 and 5,
+# in no other cone's interior, so only a closed-cone test point sees the
+# second sheet.
+PENTAGRAMS = (
+    [(100, 0, 0), (-81, 59, 0), (31, -95, 0), (31, 95, 0), (-81, -59, 0)],
+    [(100, 1, 0), (-81, 59, 0), (31, -95, 0), (19, 60, 0), (-81, -59, 0)],
+)
+
+
+def pentagram_fan(equator):
+    """Every wall lies in two cones on opposite sides, but the fan wraps twice.
+
+    Rays 5 and 6 are the poles; the cones are (i, i+1, 5) and (i+1, i, 6) for
+    i mod 5, so the five cones around each pole turn through 720 degrees."""
+    rays = [oracles.primitive_part(ray) for ray in equator] + [(0, 0, 1), (0, 0, -1)]
+    fan_cones = [(i, (i + 1) % 5, 5) for i in range(5)]
+    fan_cones += [((i + 1) % 5, i, 6) for i in range(5)]
+    return rays, fan_cones
+
+
+@pytest.mark.parametrize("equator", PENTAGRAMS)
+def test_pentagram_double_cover_is_not_fast_accepted(equator):
+    rays, fan_cones = pentagram_fan(equator)
+    fan = make_fan("pentagram", rays, fan_cones)
+    normals = _normals_if_fast_path(fan)
+    assert all(len(sides) == 2 for sides in fan_walls(fan).values())
+    assert not cones._fast_accept(fan, normals)
+    problems = list(validate_fan(fan).problems)
+    assert problems == oracles.fan_problems(rays, fan_cones)
+    assert len(problems) == 20
+
+
+def test_analyze_400_cone_fan_is_fast():
+    # the ROADMAP target is 50 ms; the best of three calls absorbs a slow host
+    rays, fan_cones = oracles.stellar_fan(random.Random(400), 198, span=1)
+    fan = make_fan("stellar-400", rays, fan_cones)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        report = analyze(fan)
+        best = min(best, time.perf_counter() - start)
+    assert len(fan.cones) == 400
+    assert report.valid and report.complete
+    assert best < 0.05
+
+
 def test_fan_constructor_structural_checks():
     with pytest.raises(ValueError):
         make_fan("bad", [E1, E2], [(0, 1, 1)])  # repeated index
@@ -310,7 +457,7 @@ def test_completeness_examples():
 def test_wall_count_of_complete_fans():
     for fan in (p1123_fan(), p3_fan(), p1x3_fan()):
         walls = fan_walls(fan)
-        assert all(count == 2 for count in walls.values())
+        assert all(len(sides) == 2 for sides in walls.values())
         assert 2 * len(walls) == 3 * len(fan.cones)
 
 

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
 
 import pytest
@@ -82,17 +82,25 @@ def test_normalize_idempotent_and_orbit_constant():
         assert normalize_type(CyclicQuotientType(t.r, tuple(mixed))) == n
 
 
+def _gcds_pairwise_coprime_above_one(r, weights):
+    """Does 1/r(weights) take the stepped route of ``normalize_type``?"""
+    gcds = [gcd(a, r) for a in weights]
+    return min(gcds) > 1 and all(gcd(x, y) == 1 for x, y in combinations(gcds, 2))
+
+
 def test_normalize_and_terminal_match_oracles_for_all_types_up_to_30():
-    checked = 0
+    checked = stepped = 0
     for r in range(1, 31):
         for weights in combinations_with_replacement(range(r), 3):
             if gcd(*weights, r) != 1:
                 continue
             checked += 1
+            stepped += _gcds_pairwise_coprime_above_one(r, weights)
             t = CyclicQuotientType(r, weights)
             assert normalize_type(t).weights == normalize_type_by_units(r, weights), t
             assert is_terminal(t) == reid_tai_terminal(r, weights), t
     assert checked == 37_067  # effective types with r <= 30, up to permutation
+    assert stepped == 64  # e.g. 1/30(2,3,5)
 
 
 @st.composite
@@ -111,6 +119,25 @@ def _gcd_heavy_types(draw):
     return r // d, tuple(w // d for w in weights)
 
 
+@st.composite
+def _coprime_gcd_types(draw):
+    """Types 1/(pqs)(p x, q y, s z) for distinct primes p, q, s up to 17: the
+    gcds with r are often pairwise coprime and above 1, the stepped route of
+    ``normalize_type``.  Dividing out gcd(weights, r) keeps the action
+    effective."""
+    p, q, s = draw(st.permutations((2, 3, 5, 7, 11, 13, 17)))[:3]
+    r = p * q * s
+    weights = tuple(f * draw(st.integers(1, r)) % r for f in (p, q, s))
+    d = gcd(*weights, r)
+    return r // d, tuple(w // d for w in weights)
+
+
+def _check_against_oracles(r, weights):
+    t = CyclicQuotientType(r, weights)
+    assert normalize_type(t).weights == normalize_type_by_units(r, weights)
+    assert is_terminal(t) == reid_tai_terminal(r, weights)
+
+
 @settings(deadline=None, max_examples=200)
 @given(_gcd_heavy_types())
 @example((30, (6, 10, 15)))
@@ -118,10 +145,14 @@ def _gcd_heavy_types(draw):
 @example((2, (0, 0, 1)))
 @example((3315, (221, 255, 195)))
 def test_normalize_and_terminal_match_oracles_on_gcd_heavy_types(rw):
-    r, weights = rw
-    t = CyclicQuotientType(r, weights)
-    assert normalize_type(t).weights == normalize_type_by_units(r, weights)
-    assert is_terminal(t) == reid_tai_terminal(r, weights)
+    _check_against_oracles(*rw)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_coprime_gcd_types())
+@example((1001, (14, 33, 65)))
+def test_normalize_and_terminal_match_oracles_on_coprime_gcd_types(rw):
+    _check_against_oracles(*rw)
 
 
 def test_quotient_type_and_terminal_at_order_one_million_are_fast():

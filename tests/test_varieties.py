@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from toricctl import lattice, quotients
 from toricctl.cones import make_fan
 from toricctl.lattice import mat_vec
 from toricctl.varieties import (
@@ -13,6 +15,7 @@ from toricctl.varieties import (
     fan_lattice_equivalent,
     solve_linking_equations,
 )
+from tests import oracles
 from tests.oracles import linking_solutions
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -102,6 +105,22 @@ def test_analyze_p3_and_p1112():
     assert singular[0].terminal is True
     assert p1112.class_rank == 1
 
+
+
+def test_analyze_of_smooth_complete_fans_needs_no_smith_form(monkeypatch):
+    # a unimodular cone is smooth by its determinant alone
+    rays, fan_cones = oracles.stellar_fan(random.Random(5), 20, span=1)
+    fans = [build_wps_fan(1, 1, 1, 1), make_fan("stellar", rays, fan_cones)]
+
+    def refuse(m):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    monkeypatch.setattr(quotients, "smith_normal_form", refuse)
+    for fan in fans:
+        report = analyze(fan)
+        assert report.valid and report.complete
+        assert {record.singularity for record in report.cones} == {"smooth"}
 
 def test_analyze_invalid_fan():
     fan = make_fan(
