@@ -18,8 +18,12 @@ which exhibits that surface family as a quotient of the quadric family
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import islice
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 # Fixed variable precedence; names outside this list sort after, alphabetically.
 _VARIABLE_PRECEDENCE = ("a", "b", "c", "d", "e", "delta", "x", "y", "z")
@@ -83,29 +87,13 @@ class Poly:
 
     # -- ring structure ----------------------------------------------------
 
-    def _aligned(self, other: "Poly") -> tuple[tuple[str, ...], dict, dict]:
-        merged = tuple(
-            sorted(set(self.variables) | set(other.variables), key=_var_key)
-        )
-        index = {name: i for i, name in enumerate(merged)}
-
-        def remap(poly: "Poly") -> dict:
-            out = {}
-            for exps, c in poly.terms.items():
-                new = [0] * len(merged)
-                for name, e in zip(poly.variables, exps):
-                    new[index[name]] = e
-                out[tuple(new)] = c
-            return out
-
-        return merged, remap(self), remap(other)
-
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        merged, left, right = self._aligned(other)
-        for exps, c in right.items():
-            left[exps] = left.get(exps, 0) + c
-        return Poly(merged, left)
+        merged = _merged_variables((self, other))
+        out = _reindexed(self, merged)
+        for exps, c in _reindexed(other, merged).items():
+            out[exps] = out.get(exps, 0) + c
+        return Poly(merged, out)
 
     __radd__ = __add__
 
@@ -120,13 +108,8 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
-        merged, left, right = self._aligned(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly(merged, out)
+        merged = _merged_variables((self, other))
+        return Poly(merged, _convolve(_reindexed(self, merged), _reindexed(other, merged)))
 
     __rmul__ = __mul__
 
@@ -157,20 +140,32 @@ class Poly:
     def substitute(self, assignment: Mapping[str, "Poly | int"]) -> "Poly":
         """Ring homomorphism: replace variables by polynomials.
 
-        Variables missing from the assignment map to themselves.
+        Variables missing from the assignment map to themselves.  The images
+        are aligned to one merged variable tuple once, each image's powers are
+        tabulated up to the largest exponent of its variable in ``self``, and
+        every term is expanded from those tables into one accumulator.
         """
-        images = {
-            name: _coerce(assignment.get(name, Poly.variable(name)))
-            for name in self.variables
-        }
-        acc = Poly.constant(0)
-        for exps, c in sorted(self.terms.items()):
-            term = Poly.constant(c)
-            for name, e in zip(self.variables, exps):
+        images = [
+            _coerce(assignment.get(name, Poly.variable(name))) for name in self.variables
+        ]
+        merged = _merged_variables(images)
+        one = (0,) * len(merged)
+        tables = []
+        for i, image in enumerate(images):
+            base = _reindexed(image, merged)
+            powers = [{one: 1}]
+            for _ in range(max(exps[i] for exps in self.terms)):
+                powers.append(_convolve(powers[-1], base))
+            tables.append(powers)
+        acc: dict[tuple[int, ...], int] = {}
+        for exps, c in self.terms.items():
+            term = {one: c}
+            for powers, e in zip(tables, exps):
                 if e:
-                    term = term * images[name] ** e
-            acc = acc + term
-        return acc
+                    term = _convolve(term, powers[e])
+            for key, value in term.items():
+                acc[key] = acc.get(key, 0) + value
+        return Poly(merged, acc)
 
     def evaluate(self, point: Mapping[str, int]) -> int:
         """Exact integer value at an integer point; every variable must be set."""
@@ -231,6 +226,37 @@ def _coerce(value) -> Poly:
     if isinstance(value, int):
         return Poly.constant(value)
     raise TypeError(f"cannot coerce {value!r} to a polynomial")
+
+
+# Term dicts map exponent tuples to coefficients, as ``Poly.terms`` does, but
+# may hold zero coefficients and unused variables until a ``Poly`` is built.
+
+
+def _merged_variables(polys: Sequence[Poly]) -> tuple[str, ...]:
+    """The union of the variables of ``polys``, in canonical order."""
+    return tuple(sorted({name for poly in polys for name in poly.variables}, key=_var_key))
+
+
+def _reindexed(poly: Poly, merged: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """A fresh term dict of ``poly`` over ``merged``, a superset of its variables."""
+    slots = [merged.index(name) for name in poly.variables]
+    out = {}
+    for exps, c in poly.terms.items():
+        new = [0] * len(merged)
+        for i, e in zip(slots, exps):
+            new[i] = e
+        out[tuple(new)] = c
+    return out
+
+
+def _convolve(left: dict, right: dict) -> dict[tuple[int, ...], int]:
+    """The product of two term dicts over the same variables."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def variables(names: str) -> tuple[Poly, ...]:
@@ -319,6 +345,24 @@ class IdealVerification:
         }
 
 
+def _spot_check_points(seed: int, samples: int) -> Iterator[tuple[int, int, int]]:
+    """The ``samples`` seeded points of [-R, R]^3, R = ``SPOT_CHECK_RANGE``.
+
+    They are the points ``tuple(rng.randint(-R, R) for _ in range(3))`` of
+    ``rng = random.Random(seed)``, drawn the way CPython's ``randint`` draws
+    them: ``getrandbits(k)`` with k the bit length of the width 2R + 1,
+    redrawn while it is not below the width, minus R.  Reading that stream
+    directly saves three Python-level calls per coordinate.
+    """
+    width = 2 * SPOT_CHECK_RANGE + 1
+    draw = partial(random.Random(seed).getrandbits, width.bit_length())
+    # iter(draw, -1) never stops: getrandbits returns no negative number
+    coords = islice(
+        (r - SPOT_CHECK_RANGE for r in iter(draw, -1) if r < width), 3 * samples
+    )
+    return zip(coords, coords, coords)
+
+
 def verify_invariant_ideal(
     seed: int = DEFAULT_SPOT_CHECK_SEED, samples: int = 100, limit: int = 6
 ) -> IdealVerification:
@@ -326,30 +370,29 @@ def verify_invariant_ideal(
 
     The verdict per generator is the exact symbolic one; in addition each
     generator is evaluated (through independent plain-integer arithmetic) at
-    ``samples`` seeded random points of the quadric parametrization.
+    ``samples`` seeded random points of the quadric parametrization.  The
+    points lie in a box of 21^3 points, so large samples repeat points: each
+    distinct point is evaluated once, its images a..delta are computed once
+    for all generators, and a nonzero value counts as many failures as the
+    point has draws.
     """
     if not 1 <= limit <= 6:
         raise ValueError("limit must be between 1 and 6")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    formulas = _NUMERIC_GENERATORS[:limit]
+    failures = [0] * limit
+    for (x, y, z), count in Counter(_spot_check_points(seed, samples)).items():
+        images = (x * x, 2 * x * y, 2 * x * z + y * y, 2 * y * z, z * z, 4 * x * z - y * y)
+        for k, formula in enumerate(formulas):
+            if formula(*images) != 0:
+                failures[k] += count
     substitution = quotient_map_substitution()
-    rng = random.Random(seed)
-    points = [
-        tuple(rng.randint(-SPOT_CHECK_RANGE, SPOT_CHECK_RANGE) for _ in range(3))
-        for _ in range(samples)
-    ]
-    checks = []
-    for idx, generator in enumerate(invariant_ideal_generators()[:limit], start=1):
-        image = generator.substitute(substitution)
-        failures = 0
-        formula = _NUMERIC_GENERATORS[idx - 1]
-        for x, y, z in points:
-            av, bv, cv = x * x, 2 * x * y, 2 * x * z + y * y
-            dv, ev, dlv = 2 * y * z, z * z, 4 * x * z - y * y
-            if formula(av, bv, cv, dv, ev, dlv) != 0:
-                failures += 1
-        checks.append(GeneratorCheck(idx, image.is_zero, len(points), failures))
-    return IdealVerification(seed, samples, tuple(checks))
+    checks = tuple(
+        GeneratorCheck(k + 1, generator.substitute(substitution).is_zero, samples, failures[k])
+        for k, generator in enumerate(invariant_ideal_generators()[:limit])
+    )
+    return IdealVerification(seed, samples, checks)
 
 
 def quotient_images_sign_invariant() -> bool:

@@ -4,8 +4,9 @@ Nothing in here calls into the library's normal-form or quotient machinery:
 determinants and adjugates are written out as explicit 3x3 cofactor formulas,
 lattice points are found by scanning the bounding box of the fundamental
 parallelepiped, group structure is read off by literally iterating the group
-law, and fan validity and lattice equivalences are decided by ``Fraction``
-Gaussian elimination.  Slow and dumb on purpose.
+law, fan validity and lattice equivalences are decided by ``Fraction``
+Gaussian elimination, and polynomial substitution multiplies out one term at
+a time with the ``Poly`` ring operations.  Slow and dumb on purpose.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from toricctl.sl2 import Poly
 
 
 def det3(m) -> int:
@@ -366,3 +369,19 @@ def is_row_hnf(h) -> bool:
             if not 0 <= h[i][col] < pivot:
                 return False
     return True
+
+
+def substitute_term_by_term(poly: Poly, assignment) -> Poly:
+    """``poly.substitute(assignment)`` with one ``Poly`` product per factor:
+    each term is its coefficient times ``image ** e`` for every variable, and
+    the terms are summed one ``Poly`` addition at a time.  Variables missing
+    from the assignment map to themselves."""
+    images = {name: assignment.get(name, Poly.variable(name)) for name in poly.variables}
+    acc = Poly.constant(0)
+    for exps, c in sorted(poly.terms.items()):
+        term = Poly.constant(c)
+        for name, e in zip(poly.variables, exps):
+            if e:
+                term = term * images[name] ** e
+        acc = acc + term
+    return acc

@@ -340,7 +340,7 @@ def test_reproduce_paper_json_deterministic(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("reproduce-paper",)]
+    [("reproduce-paper",), ("verify-sl2",)]
     + [
         ("wps", w)
         for w in ("1,1,1,1", "1,1,1,2", "1,1,2,3", "1,2,3,5", "1,3,4,5", "2,3,5,7", "3,4,5,7")

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tests.oracles import substitute_term_by_term
+from toricctl import sl2
 from toricctl.sl2 import (
     DEFAULT_SPOT_CHECK_SEED,
     Poly,
@@ -89,6 +92,56 @@ def test_evaluate_matches_constant_substitution(p, a, b, c):
     point = {"x": a, "y": b, "z": c}
     value = p.evaluate(point)
     assert p.substitute({k: Poly.constant(v) for k, v in point.items()}) == value
+
+
+# Variable names inside and outside the fixed precedence, so that merging the
+# images' variables exercises both orders.
+_SUBSTITUTION_NAMES = ("a", "c", "delta", "x", "y", "z", "w", "t2")
+
+
+def _polys(max_terms: int, max_exponent: int):
+    monomials = st.tuples(
+        st.dictionaries(
+            st.sampled_from(_SUBSTITUTION_NAMES), st.integers(0, max_exponent), max_size=3
+        ),
+        st.integers(-5, 5),
+    )
+
+    def build(parts):
+        total = Poly.constant(0)
+        for powers, c in parts:
+            term = Poly.constant(c)
+            for name, e in powers.items():
+                term = term * Poly.variable(name) ** e
+            total = total + term
+        return total
+
+    return st.lists(monomials, max_size=max_terms).map(build)
+
+
+_IMAGES = st.one_of(
+    _polys(max_terms=3, max_exponent=2),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Poly.constant),
+)
+
+
+@given(
+    _polys(max_terms=4, max_exponent=3),
+    st.dictionaries(st.sampled_from(_SUBSTITUTION_NAMES), _IMAGES, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+@example(Poly.constant(0), {"x": X + Y})
+@example(Poly.constant(-7), {"x": X + Y})
+@example(X**2 * Y - 3 * X + 1, {"x": X + Y})
+@example(X**3 * Poly.variable("w") + Y, {"x": 0, "w": Poly.variable("w") - X})
+@example(Poly.variable("t2") ** 2 - X * Z, {"x": 5, "z": Poly.constant(0)})
+def test_substitute_matches_term_by_term_oracle(poly, assignment):
+    expected = substitute_term_by_term(poly, assignment)
+    actual = poly.substitute(assignment)
+    assert actual == expected
+    assert actual.variables == expected.variables
+    assert str(actual) == str(expected)
 
 
 def test_evaluate_requires_all_variables():
@@ -211,6 +264,48 @@ def test_sampling_catches_non_vanishing_polynomials():
             p for p in points if perturbed.evaluate({"x": p[0], "y": p[1], "z": p[2]}) != 0
         ]
         assert witnesses
+
+
+def _randint_points(seed, samples):
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-10, 10) for _ in range(3)) for _ in range(samples)]
+
+
+@pytest.mark.parametrize("samples", [0, 1, 100, 20_000])
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SPOT_CHECK_SEED, -31337])
+def test_spot_check_points_are_the_randint_points(seed, samples):
+    assert list(sl2._spot_check_points(seed, samples)) == _randint_points(seed, samples)
+
+
+@pytest.mark.parametrize(
+    "limit, samples",
+    [(6, 100), (6, 20_000), (3, 20_000), (1, 6_000)],
+)
+def test_numeric_failures_count_perturbed_points_with_multiplicity(monkeypatch, limit, samples):
+    seed = 4242
+    points = Counter(_randint_points(seed, samples))
+    # the perturbation below is nonzero exactly where delta = 4xz - y^2 is
+    failing = {p: n for p, n in points.items() if 4 * p[0] * p[2] - p[1] ** 2}
+    expected = sum(failing.values())
+    assert 0 < expected < samples
+    if samples >= 6_000:
+        assert expected > len(failing)  # failing points repeat, so multiplicity counts
+    original = sl2._NUMERIC_GENERATORS
+    for k in range(6):
+        perturbed = list(original)
+        perturbed[k] = lambda a, b, c, d, e, dl, f=original[k]: f(a, b, c, d, e, dl) + dl * dl
+        monkeypatch.setattr(sl2, "_NUMERIC_GENERATORS", tuple(perturbed))
+        report = verify_invariant_ideal(seed=seed, samples=samples, limit=limit)
+        assert len(report.checks) == limit
+        failures = [check.numeric_failures for check in report.checks]
+        if k < limit:
+            assert failures == [expected if i == k else 0 for i in range(limit)]
+            assert not report.checks[k].passed
+            assert report.checks[k].symbolic_zero
+            assert not report.all_vanish
+        else:
+            assert failures == [0] * limit
+            assert report.all_vanish
 
 
 def test_images_sign_invariant():
