@@ -17,7 +17,11 @@ White-Frumkin) in O(log r) instead of by the r - 1 Reid-Tai sums.
 
 Determinants, adjugates and unimodular equivalences of the 3x3 ray matrices
 come from the closed-form kernel ``lattice.det_adjugate3`` and the solver
-``lattice.unimodular_solve``; the group itself from the Smith normal form.
+``lattice.unimodular_solve``.  The group needs no Smith normal form: it is
+the span of the adjugate's columns mod ``r``, a generator is built from them
+in O(log r) gcd steps, and the invariant factors of a non-cyclic group come
+from the determinantal divisors, the gcds of the entries and of the 2x2
+minors.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 from .cones import Cone
-from .lattice import Matrix, det_adjugate3, mat_vec, smith_normal_form, unimodular_solve
+from .lattice import Matrix, det_adjugate3, unimodular_solve
 
 
 @dataclass(frozen=True)
@@ -154,34 +158,64 @@ def normalize_type(t: CyclicQuotientType) -> CyclicQuotientType:
     return CyclicQuotientType(r, best)
 
 
+def _coprime_part(n: int, g: int) -> int:
+    """The largest divisor of ``n > 0`` coprime to ``g``.
+
+    Each step divides out ``gcd(n, h)`` for the part ``h`` of ``g`` still
+    shared with ``n``, at least halving ``n``, so there are at most
+    ``log2(n)`` steps.
+    """
+    h = gcd(n, g)
+    while h > 1:
+        n //= h
+        h = gcd(n, h)
+    return n
+
+
 def quotient_type(c: Cone) -> QuotientType:
     """Classify Z^3 modulo the ray lattice of the cone, normalized.
 
-    The Smith normal form ``D = U R V`` of the ray matrix identifies
-    ``Z^3 / R Z^3`` with the product of ``Z / d_i``; when cyclic, the class of
-    the matching column of ``U^-1`` generates, and its ray coordinates give
-    the action weights.  A cone with ``|det R| = 1`` is smooth and needs no
-    Smith form.  Since ``d1 d2 d3 = |det R|``, a cyclic group has
-    order ``r = |det R|``, so ``adj(R) g`` is ``r`` times the ray coordinates
-    ``adj(R) g / det R`` of the generator ``sign(det R) g``.  The signs are
-    immaterial: normalization rescales by the unit -1 as well.
+    With the rays as the columns of ``R``, ``r = |det R|`` and ``A = adj(R)``,
+    the map ``x -> A x mod r`` has kernel ``R Z^3`` (``A x = r y`` gives
+    ``x = +-R y`` since ``R A = det R * I``), so ``G = Z^3 / R Z^3`` is the
+    subgroup of ``(Z/r)^3`` spanned by the columns ``c1, c2, c3`` of ``A``,
+    and the image of a lattice point is ``r`` times its ray coordinates, up
+    to the sign of ``det R``.  A cone with ``r = 1`` is smooth.
+
+    An element ``w`` of ``(Z/r)^3`` has order ``r / gcd(w, r)``, and ``G``
+    has order ``r``, so ``G`` is cyclic iff some element has
+    ``gcd(w, r) = 1``.  Starting from ``w = c1``, the steps
+    ``w += t * c2`` and ``w += t' * c3``, each ``t`` the largest divisor of
+    ``r`` coprime to the current ``gcd(w, r)``, find one whenever there is
+    one: a prime ``p`` of ``r`` that does not divide ``w`` divides ``t``, so
+    ``w`` stays nonzero mod ``p``; a prime that divides ``w`` does not divide
+    ``t``, so ``w`` becomes a unit times ``c_j`` mod ``p``.  In the end ``p``
+    divides ``w`` only if it divides every ``c_j``, that is all of ``G``,
+    which then has no element of order ``r``.  The weights of a generator
+    ``w`` are its entries; the signs are immaterial, since normalization
+    rescales by the unit -1 as well.
+
+    Otherwise the invariant factors come from the determinantal divisors:
+    ``d1`` is the gcd of the entries of ``R``, which is 1 since the rays are
+    primitive, ``d1 d2`` the gcd of its 2x2 minors, the entries of ``A``, and
+    ``d1 d2 d3 = r``; a non-cyclic group has ``d2 > 1``.
     """
-    m = c.ray_matrix()
-    dm, adj_m = det_adjugate3(m)
-    if abs(dm) == 1:
+    dm, adj_m = det_adjugate3(c.ray_matrix())
+    r = abs(dm)
+    if r == 1:
         return CyclicQuotientType(1, (0, 0, 0))
-    d_mat, u_mat, _ = smith_normal_form(m)
-    factors = tuple(d_mat[i][i] for i in range(3))
-    nontrivial = tuple(f for f in factors if f != 1)
-    if len(nontrivial) >= 2:
-        return NonCyclicType(nontrivial)
-    r = factors[2]
-    # det U is +-1, so adj(U) = +-U^-1 and its last column generates too.
-    generator = tuple(row[2] for row in det_adjugate3(u_mat)[1])
-    if abs(dm) != r:
-        raise AssertionError(f"group order {r} differs from |det| = {abs(dm)}")
-    weights = tuple(x % r for x in mat_vec(adj_m, generator))
-    return normalize_type(CyclicQuotientType(r, weights))
+    c1, c2, c3 = zip(*adj_m)
+    w = c1
+    for cj in (c2, c3):
+        g = gcd(*w, r)
+        if g == 1:
+            break
+        t = _coprime_part(r, g)
+        w = tuple((x + t * y) % r for x, y in zip(w, cj))
+    if gcd(*w, r) == 1:
+        return normalize_type(CyclicQuotientType(r, w))
+    d2 = gcd(*c1, *c2, *c3)
+    return NonCyclicType((d2, r // d2))
 
 
 def is_terminal(t: CyclicQuotientType) -> bool:

@@ -7,6 +7,11 @@ parallelepiped, group structure is read off by literally iterating the group
 law, fan validity and lattice equivalences are decided by ``Fraction``
 Gaussian elimination, and polynomial substitution multiplies out one term at
 a time with the ``Poly`` ring operations.  Slow and dumb on purpose.
+
+The one exception is ``quotient_type_by_smith_form``, the general Smith
+normal form route that ``quotients.quotient_type`` took before its closed
+form, kept as a cross-check on orders far beyond the reach of the
+parallelepiped scan.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from toricctl.lattice import det_adjugate3, mat_vec, smith_normal_form
+from toricctl.quotients import CyclicQuotientType, NonCyclicType, normalize_type
 from toricctl.sl2 import Poly
 
 
@@ -162,6 +169,32 @@ def oracle_quotient(rays):
     if d2 < 2 or exponent % d2 != 0:
         raise AssertionError(f"inconsistent group structure: order {ad}, exponent {exponent}")
     return ("noncyclic", (d2, exponent))
+
+
+def quotient_type_by_smith_form(rays):
+    """``quotients.quotient_type`` of the cone on ``rays`` via the Smith
+    normal form of the ray matrix.
+
+    ``D = U R V`` identifies ``Z^3 / R Z^3`` with the product of the
+    ``Z / d_i``; when cyclic, the class of the last column of ``U^-1``
+    (``adj(U) = +-U^-1``) generates, and ``adj(R)`` applied to it gives
+    ``r`` times its ray coordinates, up to sign, so the weights.
+    """
+    m = tuple(zip(*rays))
+    dm, adj_m = det_adjugate3(m)
+    if abs(dm) == 1:
+        return CyclicQuotientType(1, (0, 0, 0))
+    d_mat, u_mat, _ = smith_normal_form(m)
+    factors = tuple(d_mat[i][i] for i in range(3))
+    nontrivial = tuple(f for f in factors if f != 1)
+    if len(nontrivial) >= 2:
+        return NonCyclicType(nontrivial)
+    r = factors[2]
+    if abs(dm) != r:
+        raise AssertionError(f"group order {r} differs from |det| = {abs(dm)}")
+    generator = tuple(row[2] for row in det_adjugate3(u_mat)[1])
+    weights = tuple(x % r for x in mat_vec(adj_m, generator))
+    return normalize_type(CyclicQuotientType(r, weights))
 
 
 def random_valid_cone_rays(rng: random.Random, max_multiplicity: int = 12, span: int = 5):

@@ -169,6 +169,21 @@ def test_check_fan_overlapping_cones(tmp_path, capsys):
     assert "common face" in out
 
 
+def test_check_fan_non_cyclic_cone(tmp_path, capsys):
+    # Z^3 modulo the rays (1,0,0), (1,2,0), (1,0,2) is Z/2 x Z/2: no cyclic
+    # type, so terminality is left open and the fan is not all terminal
+    path = write_fan(tmp_path, make_fan("noncyclic", [E1, (1, 2, 0), (1, 0, 2)], [(0, 1, 2)]))
+    code, out, _ = run(capsys, "check-fan", path, "--format", "json")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["valid"] is True and report["all_terminal"] is False
+    (cone,) = report["cones"]
+    assert cone == {"rays": [0, 1, 2], "multiplicity": 4, "type": "noncyclic(2,2)", "terminal": None}
+    code, out, _ = run(capsys, "check-fan", path)
+    assert code == 0
+    assert "  cone (0, 1, 2): mult 4, type noncyclic(2,2), terminal unknown\n" in out
+
+
 # -- wps ------------------------------------------------------------------------
 
 

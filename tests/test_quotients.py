@@ -1,13 +1,14 @@
 import random
 import time
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from toricctl import lattice, quotients
 from toricctl.cones import make_cone
-from toricctl.lattice import mat_vec
+from toricctl.lattice import mat_mul, mat_vec
 from toricctl.quotients import (
     CyclicQuotientType,
     NonCyclicType,
@@ -21,6 +22,7 @@ from tests.oracles import (
     det3,
     normalize_type_by_units,
     oracle_quotient,
+    quotient_type_by_smith_form,
     random_unimodular,
     random_valid_cone_rays,
     reid_tai_canonical,
@@ -327,6 +329,75 @@ def test_quotient_type_agrees_with_parallelepiped_oracle_at_large_order():
         else:
             assert oracle_quotient(rays) == ("noncyclic", qt.factors)
     assert max(orders) > 500
+
+
+_BIG_RAY = st.tuples(*[st.integers(-(10**6), 10**6)] * 3).filter(lambda ray: gcd(*ray) == 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(_BIG_RAY, _BIG_RAY, _BIG_RAY).filter(lambda rays: det3(tuple(zip(*rays))) != 0))
+@example(((11021, -103, 2), (0, 101, -3), (0, 0, 1)))
+@example(((1, 0, 0), (1, 2, 0), (1, 0, 2)))
+def test_quotient_type_agrees_with_smith_form_oracle(rays):
+    assert quotient_type(make_cone(*rays)) == quotient_type_by_smith_form(rays)
+
+
+@st.composite
+def _noncyclic_cones(draw):
+    """``(d, e, rays)`` with the rays the columns of ``U diag(1, d, d*e) V``,
+    ``U`` and ``V`` unimodular, so that Z^3 / R Z^3 = Z/d x Z/(d*e)."""
+    d = draw(st.integers(2, 60))
+    e = draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    u, v = (random_unimodular(rng, rng.randint(12, 30)) for _ in range(2))
+    m = mat_mul(mat_mul(u, ((1, 0, 0), (0, d, 0), (0, 0, d * e))), v)
+    return d, e, tuple(zip(*m))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_noncyclic_cones().filter(lambda der: all(gcd(*ray) == 1 for ray in der[2])))
+@example((2**64, 3**40, ((1, 0, 0), (1, 2**64, 0), (1, 0, 6**40 * 2**24))))
+def test_quotient_type_agrees_with_smith_form_oracle_on_noncyclic_cones(der):
+    d, e, rays = der
+    qt = quotient_type(make_cone(*rays))
+    assert qt == NonCyclicType((d, d * e))
+    assert qt == quotient_type_by_smith_form(rays)
+
+
+def test_quotient_type_agrees_with_both_oracles_on_all_unit_cube_cones():
+    # every triple of distinct nonzero vectors with entries in {-1, 0, 1}
+    vectors = [v for v in product((-1, 0, 1), repeat=3) if any(v)]
+    checked = set()
+    for rays in combinations(vectors, 3):
+        if det3(tuple(zip(*rays))) == 0:
+            continue
+        qt = quotient_type(make_cone(*rays))
+        assert qt == quotient_type_by_smith_form(rays)
+        if isinstance(qt, CyclicQuotientType):
+            assert oracle_quotient(rays) == ("cyclic", qt.r, qt.weights)
+        else:
+            assert oracle_quotient(rays) == ("noncyclic", qt.factors)
+        checked.add(str(qt))
+    assert checked == {
+        "smooth",
+        "1/2(0,1,1)",
+        "1/2(1,1,1)",
+        "1/3(1,1,1)",
+        "1/3(1,1,2)",
+        "1/4(1,1,2)",
+        "1/4(1,2,3)",
+        "noncyclic(2,2)",
+    }
+
+
+def test_quotient_type_needs_no_smith_form(monkeypatch):
+    def refuse(m):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    monkeypatch.setattr(quotients, "smith_normal_form", refuse, raising=False)
+    assert str(quotient_type(make_cone(E1, E2, V))) == "1/3(1,1,2)"
+    assert str(quotient_type(make_cone((1, 0, 0), (1, 2, 0), (1, 0, 2)))) == "noncyclic(2,2)"
 
 
 # -- standard cones -------------------------------------------------------------------

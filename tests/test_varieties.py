@@ -116,7 +116,7 @@ def test_analyze_of_smooth_complete_fans_needs_no_smith_form(monkeypatch):
         raise AssertionError("smith_normal_form called")
 
     monkeypatch.setattr(lattice, "smith_normal_form", refuse)
-    monkeypatch.setattr(quotients, "smith_normal_form", refuse)
+    monkeypatch.setattr(quotients, "smith_normal_form", refuse, raising=False)
     for fan in fans:
         report = analyze(fan)
         assert report.valid and report.complete
