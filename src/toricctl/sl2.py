@@ -20,8 +20,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
@@ -268,29 +266,58 @@ def variables(names: str) -> tuple[Poly, ...]:
 # The invariant ideal and the quotient map.
 
 
+# The literal term tables below are the published formulas, term for term;
+# ``tests/oracles.py`` rebuilds both from ``Poly`` operators as a cross-check.
+_ABCDE_DELTA = ("a", "b", "c", "d", "e", "delta")
+_XYZ = ("x", "y", "z")
+
+
 def invariant_ideal_generators() -> tuple[Poly, ...]:
-    """The six quadratic generators, in their published order."""
-    a, b, c, d, e, delta = variables("a b c d e delta")
-    return (
-        3 * d**2 - 8 * c * e + 4 * delta * e,
-        c * d - 6 * b * e + delta * d,
-        3 * b * d - 48 * a * e + 2 * delta * c + 2 * delta**2,
-        c**2 - 36 * a * e + 2 * delta * c + delta**2,
-        b * c - 6 * a * d + delta * b,
-        3 * b**2 - 8 * a * c + 4 * delta * a,
+    """The six quadratic generators, in their published order.
+
+    Exponents are listed over (a, b, c, d, e, delta).
+    """
+    return tuple(
+        Poly(_ABCDE_DELTA, terms)
+        for terms in (
+            # 3d^2 - 8ce + 4 delta e
+            {(0, 0, 0, 2, 0, 0): 3, (0, 0, 1, 0, 1, 0): -8, (0, 0, 0, 0, 1, 1): 4},
+            # cd - 6be + delta d
+            {(0, 0, 1, 1, 0, 0): 1, (0, 1, 0, 0, 1, 0): -6, (0, 0, 0, 1, 0, 1): 1},
+            # 3bd - 48ae + 2 delta c + 2 delta^2
+            {
+                (0, 1, 0, 1, 0, 0): 3,
+                (1, 0, 0, 0, 1, 0): -48,
+                (0, 0, 1, 0, 0, 1): 2,
+                (0, 0, 0, 0, 0, 2): 2,
+            },
+            # c^2 - 36ae + 2 delta c + delta^2
+            {
+                (0, 0, 2, 0, 0, 0): 1,
+                (1, 0, 0, 0, 1, 0): -36,
+                (0, 0, 1, 0, 0, 1): 2,
+                (0, 0, 0, 0, 0, 2): 1,
+            },
+            # bc - 6ad + delta b
+            {(0, 1, 1, 0, 0, 0): 1, (1, 0, 0, 1, 0, 0): -6, (0, 1, 0, 0, 0, 1): 1},
+            # 3b^2 - 8ac + 4 delta a
+            {(0, 2, 0, 0, 0, 0): 3, (1, 0, 1, 0, 0, 0): -8, (1, 0, 0, 0, 0, 1): 4},
+        )
     )
 
 
 def quotient_map_substitution() -> dict[str, Poly]:
-    """The double-cover substitution, with delta mapped to the quadric value."""
-    x, y, z = variables("x y z")
+    """The double-cover substitution, with delta mapped to the quadric value.
+
+    Exponents are listed over (x, y, z).
+    """
     return {
-        "a": x**2,
-        "b": 2 * x * y,
-        "c": 2 * x * z + y**2,
-        "d": 2 * y * z,
-        "e": z**2,
-        "delta": 4 * x * z - y**2,
+        "a": Poly(_XYZ, {(2, 0, 0): 1}),  # x^2
+        "b": Poly(_XYZ, {(1, 1, 0): 2}),  # 2xy
+        "c": Poly(_XYZ, {(1, 0, 1): 2, (0, 2, 0): 1}),  # 2xz + y^2
+        "d": Poly(_XYZ, {(0, 1, 1): 2}),  # 2yz
+        "e": Poly(_XYZ, {(0, 0, 2): 1}),  # z^2
+        "delta": Poly(_XYZ, {(1, 0, 1): 4, (0, 2, 0): -1}),  # 4xz - y^2
     }
 
 
@@ -345,22 +372,40 @@ class IdealVerification:
         }
 
 
-def _spot_check_points(seed: int, samples: int) -> Iterator[tuple[int, int, int]]:
-    """The ``samples`` seeded points of [-R, R]^3, R = ``SPOT_CHECK_RANGE``.
+# ``bytes.translate`` tables for the top byte b of a word: its top 5 bits are
+# b >> 3, and draws of 2R + 1 = 21 or more (b >= 21 << 3) are rejected.
+_TOP5 = bytes(b >> 3 for b in range(256))
+_REJECTED = bytes(range((2 * SPOT_CHECK_RANGE + 1) << 3, 256))
+_CHUNK_WORDS = 1 << 12  # words per getrandbits call: bounds memory for any sample count
 
-    They are the points ``tuple(rng.randint(-R, R) for _ in range(3))`` of
-    ``rng = random.Random(seed)``, drawn the way CPython's ``randint`` draws
-    them: ``getrandbits(k)`` with k the bit length of the width 2R + 1,
-    redrawn while it is not below the width, minus R.  Reading that stream
-    directly saves three Python-level calls per coordinate.
+
+def _spot_check_draws(seed: int, samples: int) -> Iterator[bytes]:
+    """The coordinates of the ``samples`` seeded points, shifted by R, in chunks.
+
+    With R = ``SPOT_CHECK_RANGE``, the bytes yielded are, in order, the 3 *
+    ``samples`` values ``rng.randint(-R, R) + R`` of ``rng =
+    random.Random(seed)``, each chunk a whole number of (x, y, z) triples.  They
+    are read from the same Mersenne-Twister stream that ``randint`` consumes
+    in CPython: ``randint(-R, R)`` draws ``getrandbits(5)``, the top 5 bits of
+    one 32-bit word, and redraws while the result is not below the width 2R +
+    1.  One ``getrandbits(32 * n)`` call returns n such words with the first
+    one least significant, so the little-endian bytes ``[3::4]`` are the
+    words' top bytes; ``translate`` drops the rejected ones and shifts the
+    rest down to 5 bits.  At most ``_CHUNK_WORDS`` words are drawn at a time,
+    and the zero to two coordinates after the last whole triple carry over to
+    the next chunk, so memory stays flat in ``samples``.
     """
-    width = 2 * SPOT_CHECK_RANGE + 1
-    draw = partial(random.Random(seed).getrandbits, width.bit_length())
-    # iter(draw, -1) never stops: getrandbits returns no negative number
-    coords = islice(
-        (r - SPOT_CHECK_RANGE for r in iter(draw, -1) if r < width), 3 * samples
-    )
-    return zip(coords, coords, coords)
+    rng = random.Random(seed)
+    missing = 3 * samples  # coordinates not yet drawn
+    pending = b""  # drawn coordinates not yet yielded in a whole triple
+    while missing:
+        words = min(_CHUNK_WORDS, 2 * missing)
+        tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        coords = pending + tops.translate(_TOP5, _REJECTED)[:missing]
+        missing -= len(coords) - len(pending)
+        whole = len(coords) - len(coords) % 3
+        yield coords[:whole]
+        pending = coords[whole:]
 
 
 def verify_invariant_ideal(
@@ -382,7 +427,12 @@ def verify_invariant_ideal(
         raise ValueError("samples must be nonnegative")
     formulas = _NUMERIC_GENERATORS[:limit]
     failures = [0] * limit
-    for (x, y, z), count in Counter(_spot_check_points(seed, samples)).items():
+    counts: Counter[tuple[int, int, int]] = Counter()
+    for coords in _spot_check_draws(seed, samples):
+        triples = iter(coords)
+        counts.update(zip(triples, triples, triples))
+    for (x, y, z), count in counts.items():
+        x, y, z = x - SPOT_CHECK_RANGE, y - SPOT_CHECK_RANGE, z - SPOT_CHECK_RANGE
         images = (x * x, 2 * x * y, 2 * x * z + y * y, 2 * y * z, z * z, 4 * x * z - y * y)
         for k, formula in enumerate(formulas):
             if formula(*images) != 0:

@@ -11,7 +11,9 @@ a time with the ``Poly`` ring operations.  Slow and dumb on purpose.
 The one exception is ``quotient_type_by_smith_form``, the general Smith
 normal form route that ``quotients.quotient_type`` took before its closed
 form, kept as a cross-check on orders far beyond the reach of the
-parallelepiped scan.
+parallelepiped scan.  ``generators_by_operators`` and ``images_by_operators``
+build the invariant-ideal generators and the quotient map with ``Poly``
+operators, as ``sl2`` did before its literal term tables.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import gcd
 
 from toricctl.lattice import det_adjugate3, mat_vec, smith_normal_form
 from toricctl.quotients import CyclicQuotientType, NonCyclicType, normalize_type
-from toricctl.sl2 import Poly
+from toricctl.sl2 import Poly, variables
 
 
 def det3(m) -> int:
@@ -418,3 +420,29 @@ def substitute_term_by_term(poly: Poly, assignment) -> Poly:
                 term = term * images[name] ** e
         acc = acc + term
     return acc
+
+
+def generators_by_operators() -> tuple[Poly, ...]:
+    """The six invariant-ideal generators, multiplied out by ``Poly`` operators."""
+    a, b, c, d, e, delta = variables("a b c d e delta")
+    return (
+        3 * d**2 - 8 * c * e + 4 * delta * e,
+        c * d - 6 * b * e + delta * d,
+        3 * b * d - 48 * a * e + 2 * delta * c + 2 * delta**2,
+        c**2 - 36 * a * e + 2 * delta * c + delta**2,
+        b * c - 6 * a * d + delta * b,
+        3 * b**2 - 8 * a * c + 4 * delta * a,
+    )
+
+
+def images_by_operators() -> dict[str, Poly]:
+    """The quotient map's images of a..e and delta, multiplied out by ``Poly`` operators."""
+    x, y, z = variables("x y z")
+    return {
+        "a": x**2,
+        "b": 2 * x * y,
+        "c": 2 * x * z + y**2,
+        "d": 2 * y * z,
+        "e": z**2,
+        "delta": 4 * x * z - y**2,
+    }

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tests.oracles import substitute_term_by_term
+from tests.oracles import generators_by_operators, images_by_operators, substitute_term_by_term
 from toricctl import sl2
 from toricctl.sl2 import (
     DEFAULT_SPOT_CHECK_SEED,
@@ -178,6 +179,10 @@ def test_generator_count_and_sixth_generator():
     assert len(gens) == 6
     a, b, c, d, e, delta = variables("a b c d e delta")
     assert gens[5] == 3 * b**2 - 8 * a * c + 4 * delta * a
+    # the literal term tables against the operator-built generators, all six
+    expected = generators_by_operators()
+    assert gens == expected
+    assert [g.variables for g in gens] == [g.variables for g in expected]
 
 
 def test_generators_are_homogeneous_quadrics():
@@ -193,6 +198,12 @@ def test_quotient_map_images():
     assert images["d"] == 2 * Y * Z
     assert images["e"] == Z**2
     assert images["delta"] == 4 * X * Z - Y**2
+    # the literal term tables against the operator-built images, all six
+    expected = images_by_operators()
+    assert list(images) == list(expected)
+    for name, image in images.items():
+        assert image == expected[name], name
+        assert image.variables == expected[name].variables
 
 
 def test_quotient_map_consistency_relation():
@@ -271,10 +282,48 @@ def _randint_points(seed, samples):
     return [tuple(rng.randint(-10, 10) for _ in range(3)) for _ in range(samples)]
 
 
-@pytest.mark.parametrize("samples", [0, 1, 100, 20_000])
-@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SPOT_CHECK_SEED, -31337])
+_SEEDS = (0, 1, DEFAULT_SPOT_CHECK_SEED, -31337)
+# 1 400 samples are 4 200 coordinates, more than one chunk of draws can hold:
+# a chunk of _CHUNK_WORDS = 4 096 words yields at most that many.
+_ABOVE_ONE_CHUNK = 1_400
+
+
+def _first_chunk_draws(seed):
+    """How many of the first chunk's words ``randint(-10, 10)`` accepts."""
+    rng = random.Random(seed)
+    return sum(rng.getrandbits(5) < 21 for _ in range(sl2._CHUNK_WORDS))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 100, 20_000, _ABOVE_ONE_CHUNK, 100_000])
+@pytest.mark.parametrize("seed", _SEEDS)
 def test_spot_check_points_are_the_randint_points(seed, samples):
-    assert list(sl2._spot_check_points(seed, samples)) == _randint_points(seed, samples)
+    chunks = list(sl2._spot_check_draws(seed, samples))
+    assert all(len(chunk) % 3 == 0 for chunk in chunks)
+    coords = [c - sl2.SPOT_CHECK_RANGE for c in b"".join(chunks)]
+    rng = random.Random(seed)
+    assert coords == [rng.randint(-10, 10) for _ in range(3 * samples)]
+    if samples >= _ABOVE_ONE_CHUNK:
+        assert 3 * _ABOVE_ONE_CHUNK > sl2._CHUNK_WORDS
+        # the first chunk holds the whole triples of its accepted draws; the
+        # rest carries over
+        drawn = _first_chunk_draws(seed)
+        assert len(chunks[0]) == drawn - drawn % 3
+
+
+def test_chunk_boundary_carries_a_partial_triple():
+    # at least one seed ends its first chunk mid-triple, so the randint test
+    # exercises the carry into the next chunk
+    assert any(_first_chunk_draws(seed) % 3 for seed in _SEEDS)
+
+
+def test_spot_check_memory_is_flat_in_the_sample_count():
+    tracemalloc.start()
+    try:
+        assert verify_invariant_ideal(samples=300_000).all_vanish
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
 
 
 @pytest.mark.parametrize(
