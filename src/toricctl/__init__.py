@@ -40,6 +40,7 @@ from .quotients import (
     lattice_equivalent,
     normalize_type,
     quotient_type,
+    quotient_type_from_adjugate,
     standard_cone,
 )
 from .sl2 import (

@@ -6,6 +6,13 @@ integer arithmetic: determinants and facet normals come from the closed-form
 3x3 kernel ``lattice.det_adjugate3`` (rows of the adjugate are cross products
 of rays), and every test is the sign of a dot product with such a normal, so
 validity and completeness verdicts are never approximate.
+
+``validate_fan`` evaluates that kernel once per cone and hands the results
+back in ``FanValidation.kernels``, together with the completeness verdict of
+its fast accept, so that a caller auditing the fan (``varieties.analyze``)
+reads each cone's multiplicity and quotient type from the same kernel instead
+of building a ``Cone`` and recomputing it.  ``Cone``, ``cone_multiplicity``
+and ``is_complete`` remain for library callers and as the tests' cross-checks.
 """
 
 from __future__ import annotations
@@ -118,6 +125,12 @@ class FanValidation:
     # every ray is primitive and no cone is degenerate, so every cone has a
     # quotient singularity type
     cones_computable: bool
+    # ``_facet_normals`` of each cone, in cone order: the determinant of its
+    # ray matrix and its inward facet normals (meaningless when det is 0)
+    kernels: tuple[tuple[int, Normals], ...]
+    # the fast accept ran and certified the fan valid and complete; False
+    # also when it did not run
+    complete: bool
 
     @property
     def ok(self) -> bool:
@@ -218,6 +231,17 @@ def _fast_accept(fan: Fan, normals: Sequence[Normals]) -> bool:
     the cone on their shared rays, which is what the pairwise check tests,
     and the cones cover R^3.
 
+    Conversely, take a fan with no ray or cone problem (rays primitive and
+    distinct, cones non-degenerate and distinct) that is valid and complete.
+    Every wall lies in exactly two cones, by the criterion of
+    ``is_complete``.  The two cones of each wall meet in that wall, since the
+    pairwise check is exact.  The ray sum ``p`` of cone 0 lies in the
+    interior of cone 0; if ``p`` lay in another closed cone B, then cone 0
+    meet B would be a face of cone 0 containing an interior point, so cone 0
+    would equal B, a duplicate cone or a duplicate ray, both reported as
+    problems.  So on such fans this returns True iff the fan is valid and
+    complete, and ``FanValidation.complete`` is the completeness verdict.
+
     So the pairwise check runs on the 3C/2 pairs of cones that share a wall
     instead of all C(C-1)/2 pairs: O(C) for C cones.  A valid fan that is not
     complete fails the first condition, so its validation stays O(C^2).
@@ -241,6 +265,11 @@ def validate_fan(fan: Fan) -> FanValidation:
     which certifies a valid complete fan in O(C).  Otherwise every pair of
     cones goes through the exact ``_intersection_is_common_face``, so the
     problem list is that of the exact check on every pair.
+
+    The result also carries what the checks computed anyway: each cone's
+    determinant and inward facet normals (one ``det_adjugate3`` call per
+    cone), and whether the fast accept passed, which by its converse is
+    whether the fan is valid and complete.
     """
     problems: list[str] = []
     for i, ray in enumerate(fan.rays):
@@ -253,9 +282,9 @@ def validate_fan(fan: Fan) -> FanValidation:
             problems.append(f"ray {i} duplicates ray {seen[ray]}")
         else:
             seen[ray] = i
+    kernels = tuple(_facet_normals(fan.cone_rays(k)) for k in range(len(fan.cones)))
     normals: list[Normals | None] = []
-    for k, cone in enumerate(fan.cones):
-        d, cone_normals = _facet_normals(fan.cone_rays(k))
+    for cone, (d, cone_normals) in zip(fan.cones, kernels):
         if d == 0:
             normals.append(None)
             problems.append(f"cone {list(cone)} is degenerate (rays linearly dependent)")
@@ -269,7 +298,7 @@ def validate_fan(fan: Fan) -> FanValidation:
         else:
             cone_sets[key] = k
     if not problems and _fast_accept(fan, normals):
-        return FanValidation((), True)
+        return FanValidation((), True, kernels, True)
     if rays_primitive:
         for ca, cb in combinations(range(len(fan.cones)), 2):
             if normals[ca] is None or normals[cb] is None:
@@ -279,7 +308,9 @@ def validate_fan(fan: Fan) -> FanValidation:
                     f"cones {list(fan.cones[ca])} and {list(fan.cones[cb])} "
                     "do not intersect in a common face"
                 )
-    return FanValidation(tuple(problems), rays_primitive and None not in normals)
+    return FanValidation(
+        tuple(problems), rays_primitive and None not in normals, kernels, False
+    )
 
 
 def fan_walls(fan: Fan) -> dict[tuple[int, int], list[int]]:
@@ -305,6 +336,10 @@ def is_complete(fan: Fan) -> bool:
     and closed as a finite union of closed cones; R^3 minus 0 is connected, so
     a nonempty support is all of R^3.  Callers are expected to have validated
     the fan first; degenerate cones are rejected here outright.
+
+    ``validate_fan`` already decides completeness through its fast accept
+    (``FanValidation.complete``), which is what ``varieties.analyze`` reads;
+    this function stays for library callers and as the tests' cross-check.
     """
     if not fan.cones:
         return False

@@ -172,8 +172,17 @@ def _coprime_part(n: int, g: int) -> int:
     return n
 
 
-def quotient_type(c: Cone) -> QuotientType:
-    """Classify Z^3 modulo the ray lattice of the cone, normalized.
+def quotient_type_from_adjugate(r: int, adjugate: Matrix) -> QuotientType:
+    """Classify Z^3 modulo the ray lattice of a cone, normalized, from its kernel.
+
+    ``r`` is ``|det R| >= 1`` for the matrix ``R`` with the rays as columns,
+    and ``adjugate`` is ``adj(R)`` or ``-adj(R)``: ``validate_fan`` keeps the
+    rows of ``adj(R)`` negated when ``det R < 0``, as inward facet normals,
+    and either sign gives the same type.  Negating every column of the
+    adjugate negates every ``w`` of the generator walk below mod ``r``, and
+    ``normalize_type`` rescales by the unit -1 among the others, so a cyclic
+    type is unchanged; the gcds of the entries are unchanged too, so the
+    invariant factors of a non-cyclic type are.
 
     With the rays as the columns of ``R``, ``r = |det R|`` and ``A = adj(R)``,
     the map ``x -> A x mod r`` has kernel ``R Z^3`` (``A x = r y`` gives
@@ -200,11 +209,9 @@ def quotient_type(c: Cone) -> QuotientType:
     primitive, ``d1 d2`` the gcd of its 2x2 minors, the entries of ``A``, and
     ``d1 d2 d3 = r``; a non-cyclic group has ``d2 > 1``.
     """
-    dm, adj_m = det_adjugate3(c.ray_matrix())
-    r = abs(dm)
     if r == 1:
         return CyclicQuotientType(1, (0, 0, 0))
-    c1, c2, c3 = zip(*adj_m)
+    c1, c2, c3 = zip(*adjugate)
     w = c1
     for cj in (c2, c3):
         g = gcd(*w, r)
@@ -216,6 +223,13 @@ def quotient_type(c: Cone) -> QuotientType:
         return normalize_type(CyclicQuotientType(r, w))
     d2 = gcd(*c1, *c2, *c3)
     return NonCyclicType((d2, r // d2))
+
+
+def quotient_type(c: Cone) -> QuotientType:
+    """Classify Z^3 modulo the ray lattice of the cone, normalized; see
+    ``quotient_type_from_adjugate``."""
+    dm, adj_m = det_adjugate3(c.ray_matrix())
+    return quotient_type_from_adjugate(abs(dm), adj_m)
 
 
 def is_terminal(t: CyclicQuotientType) -> bool:

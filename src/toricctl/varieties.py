@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
 
-from .cones import Fan, cone_multiplicity, is_complete, validate_fan
+from .cones import Fan, validate_fan
 from .lattice import Matrix, Vector, det_adjugate3, mat_vec, smith_normal_form, unimodular_solve
 from .quotients import (
     CyclicQuotientType,
     is_terminal,
     normalize_type,
-    quotient_type,
+    quotient_type_from_adjugate,
 )
 
 
@@ -97,24 +97,25 @@ class AnalysisReport:
 
 
 def analyze(fan: Fan) -> AnalysisReport:
-    """Full audit: validity, completeness, per-cone singularity types, rank."""
+    """Full audit: validity, completeness, per-cone singularity types, rank.
+
+    Everything comes from one ``validate_fan`` call, which evaluates the 3x3
+    kernel ``det_adjugate3`` once per cone: a cone's multiplicity is
+    ``|det|``, its quotient type comes from its inward facet normals, which
+    are the rows of the adjugate up to one common sign, and completeness is
+    the verdict of the fast accept (see ``cones._fast_accept`` for why it is
+    exact on a valid fan).
+    """
     validation = validate_fan(fan)
     valid = validation.ok
     records: list[ConeRecord] = []
     if validation.cones_computable:
-        for k in range(len(fan.cones)):
-            cone = fan.simplicial_cone(k)
-            qt = quotient_type(cone)
+        for cone, (d, normals) in zip(fan.cones, validation.kernels):
+            r = abs(d)
+            qt = quotient_type_from_adjugate(r, normals)
             terminal = is_terminal(qt) if isinstance(qt, CyclicQuotientType) else None
-            records.append(
-                ConeRecord(
-                    tuple(fan.cones[k]),
-                    cone_multiplicity(cone),
-                    str(qt),
-                    terminal,
-                )
-            )
-    complete = valid and bool(fan.cones) and is_complete(fan)
+            records.append(ConeRecord(tuple(cone), r, str(qt), terminal))
+    complete = valid and validation.complete
     rank = len(fan.rays) - 3 if valid and complete else None
     all_terminal = bool(records) and all(record.terminal is True for record in records)
     return AnalysisReport(

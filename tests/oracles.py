@@ -14,6 +14,10 @@ form, kept as a cross-check on orders far beyond the reach of the
 parallelepiped scan.  ``generators_by_operators`` and ``images_by_operators``
 build the invariant-ideal generators and the quotient map with ``Poly``
 operators, as ``sl2`` did before its literal term tables.
+``cone_records_by_cones`` builds ``analyze``'s per-cone records as it did
+before it read them from ``validate_fan``'s kernels: a ``Cone`` per maximal
+cone, then ``quotient_type`` and ``cone_multiplicity``, each taking its own
+determinant and adjugate.
 """
 
 from __future__ import annotations
@@ -23,9 +27,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from toricctl.cones import cone_multiplicity
 from toricctl.lattice import det_adjugate3, mat_vec, smith_normal_form
-from toricctl.quotients import CyclicQuotientType, NonCyclicType, normalize_type
+from toricctl.quotients import (
+    CyclicQuotientType,
+    NonCyclicType,
+    is_terminal,
+    normalize_type,
+    quotient_type,
+)
 from toricctl.sl2 import Poly, variables
+from toricctl.varieties import ConeRecord
 
 
 def det3(m) -> int:
@@ -333,6 +345,67 @@ def stellar_fan(rng: random.Random, stars: int, span: int = 3):
         n = len(rays) - 1
         cones += [(a, b, n), (a, n, c), (n, b, c)]
     return rays, cones
+
+
+def add_ray(rays, ray) -> int:
+    """The index of ``ray`` in the list ``rays``, appending it if it is new."""
+    if ray in rays:
+        return rays.index(ray)
+    rays.append(ray)
+    return len(rays) - 1
+
+
+FAN_KINDS = ("stellar", "overlap", "removed", "perturbed")
+
+
+def stellar_or_mutant(rng: random.Random, kind: str):
+    """A small stellar fan (valid and complete), or a mutant of one.
+
+    ``overlap`` adds a cone on two rays of an old cone and a point inside it;
+    ``removed`` drops a random cone; ``perturbed`` moves one ray to a random
+    primitive vector, so the cones around it may fold over one another while
+    every wall still lies in two cones.
+    """
+    rays, fan_cones = stellar_fan(rng, rng.randint(0, 4), span=rng.randint(1, 3))
+    if kind == "overlap":
+        a, b, c = rng.choice(fan_cones)
+        x, y, z = (rng.randint(1, 3) for _ in range(3))
+        inside = tuple(x * p + y * q + z * t for p, q, t in zip(rays[a], rays[b], rays[c]))
+        fan_cones.append((a, b, add_ray(rays, primitive_part(inside))))
+    elif kind == "removed":
+        fan_cones.pop(rng.randrange(len(fan_cones)))
+    elif kind == "perturbed":
+        while True:
+            ray = tuple(rng.randint(-3, 3) for _ in range(3))
+            if any(ray):
+                break
+        rays[rng.randrange(len(rays))] = primitive_part(ray)
+    return rays, fan_cones
+
+
+def moved_stellar_or_mutant(rng: random.Random, kind: str, mapped: bool, reversed_cones: bool):
+    """``stellar_or_mutant``, with its rays moved by ``random_unimodular``
+    when ``mapped``, and with every cone's rays listed backwards when
+    ``reversed_cones``: an odd permutation, so every determinant changes sign."""
+    rays, fan_cones = stellar_or_mutant(rng, kind)
+    if mapped:
+        g = random_unimodular(rng)
+        rays = [tuple(sum(a * b for a, b in zip(row, ray)) for row in g) for ray in rays]
+    if reversed_cones:
+        fan_cones = [cone[::-1] for cone in fan_cones]
+    return rays, fan_cones
+
+
+def cone_records_by_cones(fan):
+    """The per-cone records of ``varieties.analyze`` for a fan whose rays are
+    primitive and whose cones are non-degenerate, one ``Cone`` at a time."""
+    records = []
+    for k in range(len(fan.cones)):
+        cone = fan.simplicial_cone(k)
+        qt = quotient_type(cone)
+        terminal = is_terminal(qt) if isinstance(qt, CyclicQuotientType) else None
+        records.append(ConeRecord(tuple(fan.cones[k]), cone_multiplicity(cone), str(qt), terminal))
+    return tuple(records)
 
 
 def is_complete_by_wall_graph(cones) -> bool:

@@ -12,6 +12,7 @@ from toricctl.varieties import build_wps_fan
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 GOLDEN = Path(__file__).parent / "data" / "golden"
+FANS = Path(__file__).parent / "data" / "fans"
 
 
 def run(capsys, *argv):
@@ -353,20 +354,40 @@ def test_reproduce_paper_json_deterministic(capsys):
     assert payload["report"]["all_passed"] is True
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("reproduce-paper",), ("verify-sl2",)]
-    + [
-        ("wps", w)
-        for w in ("1,1,1,1", "1,1,1,2", "1,1,2,3", "1,2,3,5", "1,3,4,5", "2,3,5,7", "3,4,5,7")
-    ],
-    ids=lambda argv: "-".join(argv),
+# check-fan goldens: each fan file's name, and whether the fan is valid (exit 0)
+CHECK_FAN_GOLDENS = (
+    ("stellar", 0),  # complete, with singular cones
+    ("stellar-minus-cone0", 0),  # valid, not complete
+    ("stellar-overlap", 1),  # a cone inside cone 0
+    ("noncyclic", 0),
+    ("clockwise", 0),  # the stellar fan with every cone's det < 0
+    ("degenerate", 1),
 )
-def test_json_output_matches_golden(monkeypatch, capsys, argv):
+
+
+def _golden_id(argv) -> str:
+    if argv[0] == "check-fan":
+        return "check-fan-" + Path(argv[1]).stem
+    return "-".join(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        pytest.param(argv, code, id=_golden_id(argv))
+        for argv, code in [(("reproduce-paper",), 0), (("verify-sl2",), 0)]
+        + [
+            (("wps", w), 0)
+            for w in ("1,1,1,1", "1,1,1,2", "1,1,2,3", "1,2,3,5", "1,3,4,5", "2,3,5,7", "3,4,5,7")
+        ]
+        + [(("check-fan", str(FANS / f"{name}.json")), code) for name, code in CHECK_FAN_GOLDENS]
+    ],
+)
+def test_json_output_matches_golden(monkeypatch, capsys, argv, expected_code):
     monkeypatch.delenv("TORICCTL_SEED", raising=False)
     code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 0
-    assert out.encode() == (GOLDEN / ("-".join(argv) + ".json")).read_bytes()
+    assert code == expected_code
+    assert out.encode() == (GOLDEN / (_golden_id(argv) + ".json")).read_bytes()
 
 
 def test_reproduce_paper_names_corrupted_check(monkeypatch, capsys):

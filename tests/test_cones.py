@@ -190,13 +190,6 @@ def test_validate_detects_duplicate_cones():
 PAIR_KINDS = ("share0", "share1", "share2", "mutant", "dup_vector")
 
 
-def _add_ray(rays, ray):
-    if ray in rays:
-        return rays.index(ray)
-    rays.append(ray)
-    return len(rays) - 1
-
-
 def small_fan(rng, kind):
     """A few cones grown from a random cone, each new one related to an old one.
 
@@ -218,13 +211,13 @@ def small_fan(rng, kind):
             inside = oracles.primitive_part(
                 tuple(x * p + y * q + z * t for p, q, t in zip(a, b, c))
             )
-            new = rng.sample(base, 2) + [_add_ray(rays, inside)]
+            new = rng.sample(base, 2) + [oracles.add_ray(rays, inside)]
         elif step_kind == "dup_vector":
             k = rng.choice(base)
             rays.append(rays[k])
             rest = [i for i in base if i != k]
             if rng.random() < 0.5:
-                rest = [_add_ray(rays, tuple(-x for x in rays[i])) for i in rest]
+                rest = [oracles.add_ray(rays, tuple(-x for x in rays[i])) for i in rest]
             new = [len(rays) - 1] + rest
         else:
             shared = rng.sample(base, int(step_kind[-1]))
@@ -232,7 +225,7 @@ def small_fan(rng, kind):
                 fresh = [tuple(-x for x in rays[i]) for i in base if i not in shared]
             else:
                 fresh = list(oracles.random_valid_cone_rays(rng))[: 3 - len(shared)]
-            new = shared + [_add_ray(rays, ray) for ray in fresh]
+            new = shared + [oracles.add_ray(rays, ray) for ray in fresh]
         if len(set(new)) == 3:
             rng.shuffle(new)
             fan_cones.append(tuple(new))
@@ -292,33 +285,6 @@ def test_stellar_subdivisions_stay_valid_and_complete():
 
 # -- fast accept and separating-facet screen against the reference ----------------
 
-FAN_KINDS = ("stellar", "overlap", "removed", "perturbed")
-
-
-def stellar_or_mutant(rng, kind):
-    """A small stellar fan (valid and complete), or a mutant of one.
-
-    ``overlap`` adds a cone on two rays of an old cone and a point inside it;
-    ``removed`` drops a random cone; ``perturbed`` moves one ray to a random
-    primitive vector, so the cones around it may fold over one another while
-    every wall still lies in two cones.
-    """
-    rays, fan_cones = oracles.stellar_fan(rng, rng.randint(0, 4), span=rng.randint(1, 3))
-    if kind == "overlap":
-        a, b, c = rng.choice(fan_cones)
-        x, y, z = (rng.randint(1, 3) for _ in range(3))
-        inside = tuple(x * p + y * q + z * t for p, q, t in zip(rays[a], rays[b], rays[c]))
-        fan_cones.append((a, b, _add_ray(rays, oracles.primitive_part(inside))))
-    elif kind == "removed":
-        fan_cones.pop(rng.randrange(len(fan_cones)))
-    elif kind == "perturbed":
-        while True:
-            ray = tuple(rng.randint(-3, 3) for _ in range(3))
-            if any(ray):
-                break
-        rays[rng.randrange(len(rays))] = oracles.primitive_part(ray)
-    return rays, fan_cones
-
 
 def _normals_if_fast_path(fan):
     """The cones' normals when ``validate_fan`` would offer the fan to the
@@ -365,20 +331,20 @@ def _check_fast_paths(rays, fan_cones):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(FAN_KINDS))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(oracles.FAN_KINDS))
 def test_fast_accept_and_screen_imply_the_reference_verdicts(seed, kind):
-    _check_fast_paths(*stellar_or_mutant(random.Random(seed), kind))
+    _check_fast_paths(*oracles.stellar_or_mutant(random.Random(seed), kind))
 
 
 def test_fast_paths_see_both_verdicts():
     # a perturbed ray keeps every wall in two cones, so only the opposite-sides
     # test and the test point can turn such a fan away
     rng = random.Random(7)
-    accepted = {kind: set() for kind in FAN_KINDS}
+    accepted = {kind: set() for kind in oracles.FAN_KINDS}
     screened = set()
-    for kind in FAN_KINDS:
+    for kind in oracles.FAN_KINDS:
         for _ in range(20):
-            fast, pairs = _check_fast_paths(*stellar_or_mutant(rng, kind))
+            fast, pairs = _check_fast_paths(*oracles.stellar_or_mutant(rng, kind))
             accepted[kind].add(fast)
             screened |= pairs
     assert accepted["stellar"] == {True}
@@ -477,6 +443,30 @@ def test_wall_count_matches_wall_graph_search(seed, stars, drop):
     fan = make_fan("stellar-minus", rays, fan_cones)
     assert validate_fan(fan).ok
     assert is_complete(fan) == oracles.is_complete_by_wall_graph(fan_cones)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(oracles.FAN_KINDS), st.booleans(), st.booleans())
+def test_validation_complete_is_valid_and_complete(seed, kind, mapped, reversed_cones):
+    # the converse of the fast accept: on a fan with no ray or cone problem
+    # it passes iff the fan is valid and complete
+    rng = random.Random(seed)
+    rays, fan_cones = oracles.moved_stellar_or_mutant(rng, kind, mapped, reversed_cones)
+    fan = make_fan(kind, rays, fan_cones)
+    validation = validate_fan(fan)
+    assert validation.complete == (validation.ok and is_complete(fan))
+
+
+def test_validation_complete_sees_both_verdicts():
+    rng = random.Random(11)
+    seen = {kind: set() for kind in oracles.FAN_KINDS}
+    for kind in oracles.FAN_KINDS:
+        for _ in range(20):
+            fan = make_fan(kind, *oracles.moved_stellar_or_mutant(rng, kind, True, True))
+            seen[kind].add(validate_fan(fan).complete)
+    assert seen["stellar"] == {True}
+    assert seen["overlap"] == seen["removed"] == {False}
+    assert seen["perturbed"] == {True, False}
 
 
 def test_is_complete_rejects_degenerate():

@@ -16,9 +16,11 @@ from toricctl.quotients import (
     lattice_equivalent,
     normalize_type,
     quotient_type,
+    quotient_type_from_adjugate,
     standard_cone,
 )
 from tests.oracles import (
+    adj3,
     det3,
     normalize_type_by_units,
     oracle_quotient,
@@ -340,6 +342,30 @@ _BIG_RAY = st.tuples(*[st.integers(-(10**6), 10**6)] * 3).filter(lambda ray: gcd
 @example(((1, 0, 0), (1, 2, 0), (1, 0, 2)))
 def test_quotient_type_agrees_with_smith_form_oracle(rays):
     assert quotient_type(make_cone(*rays)) == quotient_type_by_smith_form(rays)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_valid_cone_rays(random.Random(seed))))
+@example(((1, 0, 0), (1, 2, 0), (1, 0, 2)))
+@example(((1, 0, 2), (1, 2, 0), (1, 0, 0)))
+def test_quotient_type_from_adjugate_ignores_the_sign_of_the_adjugate(rays):
+    cols = tuple(zip(*rays))
+    r, adj = abs(det3(cols)), adj3(cols)
+    negated = tuple(tuple(-x for x in row) for row in adj)
+    expected = quotient_type_by_smith_form(rays)
+    assert quotient_type_from_adjugate(r, adj) == expected
+    assert quotient_type_from_adjugate(r, negated) == expected
+
+
+def test_random_valid_cone_rays_reach_noncyclic_cones_of_both_orientations():
+    # so the sign test above sees non-cyclic types with det > 0 and det < 0
+    rng = random.Random(31)
+    signs = set()
+    for _ in range(300):
+        rays = random_valid_cone_rays(rng)
+        if isinstance(quotient_type_by_smith_form(rays), NonCyclicType):
+            signs.add(det3(tuple(zip(*rays))) > 0)
+    assert signs == {True, False}
 
 
 @st.composite

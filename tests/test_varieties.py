@@ -1,11 +1,14 @@
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricctl import lattice, quotients
-from toricctl.cones import make_fan
+from toricctl.cones import load_fan, make_fan, validate_fan
 from toricctl.lattice import mat_vec
 from toricctl.varieties import (
     LinkingSolution,
@@ -19,6 +22,7 @@ from tests import oracles
 from tests.oracles import linking_solutions
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+FANS = Path(__file__).parent / "data" / "fans"
 
 
 # -- weighted projective space fans ---------------------------------------------
@@ -121,6 +125,37 @@ def test_analyze_of_smooth_complete_fans_needs_no_smith_form(monkeypatch):
         report = analyze(fan)
         assert report.valid and report.complete
         assert {record.singularity for record in report.cones} == {"smooth"}
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(oracles.FAN_KINDS), st.booleans(), st.booleans())
+def test_analyze_records_match_the_per_cone_oracle(seed, kind, mapped, reversed_cones):
+    rng = random.Random(seed)
+    rays, fan_cones = oracles.moved_stellar_or_mutant(rng, kind, mapped, reversed_cones)
+    fan = make_fan(kind, rays, fan_cones)
+    report = analyze(fan)
+    if validate_fan(fan).cones_computable:
+        assert report.cones == oracles.cone_records_by_cones(fan)
+    else:
+        assert report.cones == ()
+
+
+@pytest.mark.parametrize("name", ["stellar", "stellar-overlap", "clockwise"])
+def test_analyze_takes_one_kernel_per_cone(monkeypatch, name):
+    original = lattice.det_adjugate3
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("toricctl") and getattr(module, "det_adjugate3", None) is original:
+            monkeypatch.setattr(module, "det_adjugate3", counted)
+    fan = load_fan(FANS / f"{name}.json")
+    report = analyze(fan)
+    assert report.valid == (name != "stellar-overlap")
+    assert len(calls) == len(fan.cones)
+
 
 def test_analyze_invalid_fan():
     fan = make_fan(
