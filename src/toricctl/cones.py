@@ -7,18 +7,20 @@ integer arithmetic: determinants and facet normals come from the closed-form
 of rays), and every test is the sign of a dot product with such a normal, so
 validity and completeness verdicts are never approximate.
 
-``validate_fan`` evaluates that kernel once per cone and hands the results
-back in ``FanValidation.kernels``, together with the completeness verdict of
-its fast accept, so that a caller auditing the fan (``varieties.analyze``)
-reads each cone's multiplicity and quotient type from the same kernel instead
-of building a ``Cone`` and recomputing it.  ``Cone``, ``cone_multiplicity``
-and ``is_complete`` remain for library callers and as the tests' cross-checks.
+A ``Cone`` keeps the kernel it was checked with, so its multiplicity and
+quotient type need no second evaluation.  ``validate_fan`` evaluates the
+kernel once per cone and hands the results back in ``FanValidation.kernels``,
+together with the completeness verdict of its fast accept, so that a caller
+auditing the fan (``varieties.analyze``) builds each cone from its kernel
+(``Cone.from_kernel``) instead of checking and evaluating it again, and needs
+no ``is_complete``.  ``Fan.simplicial_cone`` and ``is_complete`` remain for
+library callers and as the tests' cross-checks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -34,6 +36,10 @@ class Cone:
     """A full-dimensional simplicial cone in Z^3, given by 3 primitive rays."""
 
     rays: tuple[Vector, Vector, Vector]
+    # ``_facet_normals`` of the rays: the determinant of the ray matrix and
+    # the inward facet normals, from the one kernel call that also rejects a
+    # degenerate triple; ``quotient_type`` and ``cone_multiplicity`` read it
+    kernel: tuple[int, Normals] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rays) != 3:
@@ -43,8 +49,19 @@ class Cone:
                 raise ValueError(f"ray {ray!r} is not an integer vector of length 3")
             if not is_primitive(ray):
                 raise ValueError(f"ray {ray} is not primitive")
-        if det_adjugate3(self.ray_matrix())[0] == 0:
+        kernel = _facet_normals(self.rays)
+        if kernel[0] == 0:
             raise ValueError(f"degenerate cone: rays {self.rays} are linearly dependent")
+        object.__setattr__(self, "kernel", kernel)
+
+    @classmethod
+    def from_kernel(cls, rays: tuple[Vector, Vector, Vector], kernel: tuple[int, Normals]) -> Cone:
+        """The cone on rays that ``validate_fan`` found primitive and not
+        degenerate, with the kernel it computed for them; no check is repeated."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", rays)
+        object.__setattr__(cone, "kernel", kernel)
+        return cone
 
     def ray_matrix(self) -> Matrix:
         """The 3x3 matrix whose columns are the rays."""
@@ -57,7 +74,7 @@ def make_cone(r1: Sequence[int], r2: Sequence[int], r3: Sequence[int]) -> Cone:
 
 def cone_multiplicity(c: Cone) -> int:
     """Index of the sublattice spanned by the rays; 1 means smooth."""
-    return abs(det_adjugate3(c.ray_matrix())[0])
+    return abs(c.kernel[0])
 
 
 Normals = tuple[Vector, Vector, Vector]

@@ -15,13 +15,13 @@ found in a few gcd steps, so ``normalize_type`` never walks the phi(r) units.
 Terminality is decided by the 3-fold terminal lemma (Morrison-Stevens,
 White-Frumkin) in O(log r) instead of by the r - 1 Reid-Tai sums.
 
-Determinants, adjugates and unimodular equivalences of the 3x3 ray matrices
-come from the closed-form kernel ``lattice.det_adjugate3`` and the solver
-``lattice.unimodular_solve``.  The group needs no Smith normal form: it is
-the span of the adjugate's columns mod ``r``, a generator is built from them
-in O(log r) gcd steps, and the invariant factors of a non-cyclic group come
-from the determinantal divisors, the gcds of the entries and of the 2x2
-minors.
+The determinant and adjugate of a cone's ray matrix are the kernel the
+``Cone`` keeps from its closed-form ``lattice.det_adjugate3`` call, and
+unimodular equivalences come from the solver ``lattice.unimodular_solve``.
+The group needs no Smith normal form: it is the span of the adjugate's
+columns mod ``r``, a generator is built from them in O(log r) gcd steps, and
+the invariant factors of a non-cyclic group come from the determinantal
+divisors, the gcds of the entries and of the 2x2 minors.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 from .cones import Cone
-from .lattice import Matrix, det_adjugate3, unimodular_solve
+from .lattice import Matrix, unimodular_solve
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,13 @@ def quotient_type_from_adjugate(r: int, adjugate: Matrix) -> QuotientType:
     """Classify Z^3 modulo the ray lattice of a cone, normalized, from its kernel.
 
     ``r`` is ``|det R| >= 1`` for the matrix ``R`` with the rays as columns,
-    and ``adjugate`` is ``adj(R)`` or ``-adj(R)``: ``validate_fan`` keeps the
-    rows of ``adj(R)`` negated when ``det R < 0``, as inward facet normals,
-    and either sign gives the same type.  Negating every column of the
-    adjugate negates every ``w`` of the generator walk below mod ``r``, and
-    ``normalize_type`` rescales by the unit -1 among the others, so a cyclic
-    type is unchanged; the gcds of the entries are unchanged too, so the
-    invariant factors of a non-cyclic type are.
+    and ``adjugate`` is ``adj(R)`` or ``-adj(R)``: ``Cone.kernel`` and
+    ``validate_fan`` keep the rows of ``adj(R)`` negated when ``det R < 0``,
+    as inward facet normals, and either sign gives the same type.  Negating
+    every column of the adjugate negates every ``w`` of the generator walk
+    below mod ``r``, and ``normalize_type`` rescales by the unit -1 among the
+    others, so a cyclic type is unchanged; the gcds of the entries are
+    unchanged too, so the invariant factors of a non-cyclic type are.
 
     With the rays as the columns of ``R``, ``r = |det R|`` and ``A = adj(R)``,
     the map ``x -> A x mod r`` has kernel ``R Z^3`` (``A x = r y`` gives
@@ -227,9 +227,9 @@ def quotient_type_from_adjugate(r: int, adjugate: Matrix) -> QuotientType:
 
 def quotient_type(c: Cone) -> QuotientType:
     """Classify Z^3 modulo the ray lattice of the cone, normalized; see
-    ``quotient_type_from_adjugate``."""
-    dm, adj_m = det_adjugate3(c.ray_matrix())
-    return quotient_type_from_adjugate(abs(dm), adj_m)
+    ``quotient_type_from_adjugate``, which it feeds the cone's kernel."""
+    d, normals = c.kernel
+    return quotient_type_from_adjugate(abs(d), normals)
 
 
 def is_terminal(t: CyclicQuotientType) -> bool:

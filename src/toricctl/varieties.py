@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
 
-from .cones import Fan, validate_fan
+from .cones import Cone, Fan, validate_fan
 from .lattice import Matrix, Vector, det_adjugate3, mat_vec, smith_normal_form, unimodular_solve
 from .quotients import (
     CyclicQuotientType,
     is_terminal,
     normalize_type,
-    quotient_type_from_adjugate,
+    quotient_type,
 )
 
 
@@ -104,17 +104,17 @@ def analyze(fan: Fan) -> AnalysisReport:
     ``|det|``, its quotient type comes from its inward facet normals, which
     are the rows of the adjugate up to one common sign, and completeness is
     the verdict of the fast accept (see ``cones._fast_accept`` for why it is
-    exact on a valid fan).
+    exact on a valid fan).  Each cone is built from its kernel, so nothing
+    is checked or evaluated twice.
     """
     validation = validate_fan(fan)
     valid = validation.ok
     records: list[ConeRecord] = []
     if validation.cones_computable:
-        for cone, (d, normals) in zip(fan.cones, validation.kernels):
-            r = abs(d)
-            qt = quotient_type_from_adjugate(r, normals)
+        for k, kernel in enumerate(validation.kernels):
+            qt = quotient_type(Cone.from_kernel(fan.cone_rays(k), kernel))
             terminal = is_terminal(qt) if isinstance(qt, CyclicQuotientType) else None
-            records.append(ConeRecord(tuple(cone), r, str(qt), terminal))
+            records.append(ConeRecord(tuple(fan.cones[k]), abs(kernel[0]), str(qt), terminal))
     complete = valid and validation.complete
     rank = len(fan.rays) - 3 if valid and complete else None
     all_terminal = bool(records) and all(record.terminal is True for record in records)

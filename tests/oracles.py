@@ -15,9 +15,9 @@ parallelepiped scan.  ``generators_by_operators`` and ``images_by_operators``
 build the invariant-ideal generators and the quotient map with ``Poly``
 operators, as ``sl2`` did before its literal term tables.
 ``cone_records_by_cones`` builds ``analyze``'s per-cone records as it did
-before it read them from ``validate_fan``'s kernels: a ``Cone`` per maximal
-cone, then ``quotient_type`` and ``cone_multiplicity``, each taking its own
-determinant and adjugate.
+before it read them from ``validate_fan``'s kernels: a checked ``Cone`` per
+maximal cone, then its own determinant and adjugate, classified without the
+sign flip of the inward normals.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from toricctl.cones import cone_multiplicity
 from toricctl.lattice import det_adjugate3, mat_vec, smith_normal_form
 from toricctl.quotients import (
     CyclicQuotientType,
     NonCyclicType,
     is_terminal,
     normalize_type,
-    quotient_type,
+    quotient_type_from_adjugate,
 )
 from toricctl.sl2 import Poly, variables
 from toricctl.varieties import ConeRecord
@@ -398,13 +397,15 @@ def moved_stellar_or_mutant(rng: random.Random, kind: str, mapped: bool, reverse
 
 def cone_records_by_cones(fan):
     """The per-cone records of ``varieties.analyze`` for a fan whose rays are
-    primitive and whose cones are non-degenerate, one ``Cone`` at a time."""
+    primitive and whose cones are non-degenerate, one checked ``Cone`` at a
+    time, each classified from its own adjugate rather than from the inward
+    normals that ``Cone.kernel`` and ``validate_fan`` keep."""
     records = []
     for k in range(len(fan.cones)):
-        cone = fan.simplicial_cone(k)
-        qt = quotient_type(cone)
+        d, adj = det_adjugate3(fan.simplicial_cone(k).ray_matrix())
+        qt = quotient_type_from_adjugate(abs(d), adj)
         terminal = is_terminal(qt) if isinstance(qt, CyclicQuotientType) else None
-        records.append(ConeRecord(tuple(fan.cones[k]), cone_multiplicity(cone), str(qt), terminal))
+        records.append(ConeRecord(tuple(fan.cones[k]), abs(d), str(qt), terminal))
     return tuple(records)
 
 
