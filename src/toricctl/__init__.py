@@ -50,7 +50,6 @@ from .sl2 import (
     quotient_images_sign_invariant,
     quotient_map_substitution,
     rep_weights,
-    variables,
     verify_invariant_ideal,
 )
 from .varieties import (

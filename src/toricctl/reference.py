@@ -171,10 +171,10 @@ def _check_invariant_ideal(seed: int) -> ReferenceCheck:
 def _check_quadric_and_weights() -> ReferenceCheck:
     family_ok = quadric_family_sanity()
     weights_ok = all(
-        sum(rep_weights(k).weights) == 0
-        and len(rep_weights(k).weights) == k + 1
-        and rep_weights(k).fixed_space_dim == 1 - k % 2
-        for k in range(7)
+        sum(table.weights) == 0
+        and len(table.weights) == table.k + 1
+        and table.fixed_space_dim == 1 - table.k % 2
+        for table in map(rep_weights, range(7))
     )
     passed = family_ok and weights_ok
     detail = f"quadric family ok: {family_ok}; weight tables k<=6 ok: {weights_ok}"

@@ -1,9 +1,10 @@
-"""Exact multivariate polynomials over Z and the SL2-invariant identities.
+"""Exact multivariate polynomials over Z as term tables, and the SL2 identities.
 
-The polynomial type is deliberately small: integer coefficients, named
-variables, canonical form (no zero terms, unused variables dropped, fixed
-variable precedence), so equality is structural.  That is all the identity
-checking here needs; anything Groebner-shaped is out of scope.
+The polynomial type is deliberately small: a term table with integer
+coefficients over named variables, in canonical form (no zero terms, unused
+variables dropped, fixed variable precedence), so equality is structural.  It
+substitutes and evaluates but has no ring operators: every polynomial here is
+a literal table, and the ring that cross-checks them is in ``tests/oracles.py``.
 
 The headline computation: the six quadratic generators of the invariant ideal
 cutting out the SL2-invariant surfaces in the 5-dimensional irreducible
@@ -73,55 +74,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(c: int) -> "Poly":
-        return Poly((), {(): int(c)} if c else {})
-
-    @staticmethod
-    def variable(name: str) -> "Poly":
-        return Poly((name,), {(1,): 1})
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        merged = _merged_variables((self, other))
-        out = _reindexed(self, merged)
-        for exps, c in _reindexed(other, merged).items():
-            out[exps] = out.get(exps, 0) + c
-        return Poly(merged, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.variables, {exps: -c for exps, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Poly":
-        other = _coerce(other)
-        merged = _merged_variables((self, other))
-        return Poly(merged, _convolve(_reindexed(self, merged), _reindexed(other, merged)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Poly":
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = Poly.constant(other)
+            other = Poly((), {(): other})
         if not isinstance(other, Poly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
@@ -138,32 +93,10 @@ class Poly:
     def substitute(self, assignment: Mapping[str, "Poly | int"]) -> "Poly":
         """Ring homomorphism: replace variables by polynomials.
 
-        Variables missing from the assignment map to themselves.  The images
-        are aligned to one merged variable tuple once, each image's powers are
-        tabulated up to the largest exponent of its variable in ``self``, and
-        every term is expanded from those tables into one accumulator.
+        Variables missing from the assignment map to themselves.  This is
+        ``substitute_all`` on the one polynomial ``self``.
         """
-        images = [
-            _coerce(assignment.get(name, Poly.variable(name))) for name in self.variables
-        ]
-        merged = _merged_variables(images)
-        one = (0,) * len(merged)
-        tables = []
-        for i, image in enumerate(images):
-            base = _reindexed(image, merged)
-            powers = [{one: 1}]
-            for _ in range(max(exps[i] for exps in self.terms)):
-                powers.append(_convolve(powers[-1], base))
-            tables.append(powers)
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, c in self.terms.items():
-            term = {one: c}
-            for powers, e in zip(tables, exps):
-                if e:
-                    term = _convolve(term, powers[e])
-            for key, value in term.items():
-                acc[key] = acc.get(key, 0) + value
-        return Poly(merged, acc)
+        return substitute_all((self,), assignment)[0]
 
     def evaluate(self, point: Mapping[str, int]) -> int:
         """Exact integer value at an integer point; every variable must be set."""
@@ -222,7 +155,7 @@ def _coerce(value) -> Poly:
     if isinstance(value, Poly):
         return value
     if isinstance(value, int):
-        return Poly.constant(value)
+        return Poly((), {(): value})
     raise TypeError(f"cannot coerce {value!r} to a polynomial")
 
 
@@ -257,9 +190,47 @@ def _convolve(left: dict, right: dict) -> dict[tuple[int, ...], int]:
     return out
 
 
-def variables(names: str) -> tuple[Poly, ...]:
-    """Convenience: ``a, b = variables("a b")``."""
-    return tuple(Poly.variable(name) for name in names.split())
+def substitute_all(
+    polys: Sequence[Poly], assignment: Mapping[str, "Poly | int"]
+) -> tuple[Poly, ...]:
+    """``poly.substitute(assignment)`` for each of ``polys``, in order.
+
+    The images are aligned to one merged variable tuple once, and each
+    image's powers are tabulated once for all of ``polys``, up to the largest
+    exponent of its variable in any of them.  Every term of a polynomial is
+    expanded from those tables into that polynomial's accumulator.
+    """
+    names = _merged_variables(polys)
+    images = [
+        _coerce(assignment[name]) if name in assignment else Poly((name,), {(1,): 1})
+        for name in names
+    ]
+    merged = _merged_variables(images)
+    one = (0,) * len(merged)
+    top = dict.fromkeys(names, 0)
+    for poly in polys:
+        for exps in poly.terms:
+            for name, e in zip(poly.variables, exps):
+                top[name] = max(top[name], e)
+    tables = {}
+    for name, image in zip(names, images):
+        base = _reindexed(image, merged)
+        powers = [{one: 1}]
+        for _ in range(top[name]):
+            powers.append(_convolve(powers[-1], base))
+        tables[name] = powers
+    results = []
+    for poly in polys:
+        acc: dict[tuple[int, ...], int] = {}
+        for exps, c in poly.terms.items():
+            term = {one: c}
+            for name, e in zip(poly.variables, exps):
+                if e:
+                    term = _convolve(term, tables[name][e])
+            for key, value in term.items():
+                acc[key] = acc.get(key, 0) + value
+        results.append(Poly(merged, acc))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +384,20 @@ def verify_invariant_ideal(
 ) -> IdealVerification:
     """Substitute the quotient map into the generators and test for zero.
 
-    The verdict per generator is the exact symbolic one; in addition each
+    The verdict per generator is the exact symbolic one, from one
+    ``substitute_all`` call for all ``limit`` generators.  In addition each
     generator is evaluated (through independent plain-integer arithmetic) at
     ``samples`` seeded random points of the quadric parametrization.  The
     points lie in a box of 21^3 points, so large samples repeat points: each
     distinct point is evaluated once, its images a..delta are computed once
     for all generators, and a nonzero value counts as many failures as the
     point has draws.
+
+    A point p and its mirror -p are evaluated once for both: a nonzero value
+    counts the draws of p plus those of -p.  This is exact because every
+    image a..delta is a quadratic form in (x, y, z), so p and -p have the
+    same images, and every formula sees only the images.  The origin is its
+    own mirror, and a point whose mirror was not drawn counts alone.
     """
     if not 1 <= limit <= 6:
         raise ValueError("limit must be between 1 and 6")
@@ -431,43 +409,62 @@ def verify_invariant_ideal(
     for coords in _spot_check_draws(seed, samples):
         triples = iter(coords)
         counts.update(zip(triples, triples, triples))
-    for (x, y, z), count in counts.items():
-        x, y, z = x - SPOT_CHECK_RANGE, y - SPOT_CHECK_RANGE, z - SPOT_CHECK_RANGE
+    mirror_sum = 2 * SPOT_CHECK_RANGE  # shifted coordinates of p and -p add up to this
+    for point, count in counts.items():
+        u, v, w = point
+        mirror = (mirror_sum - u, mirror_sum - v, mirror_sum - w)
+        if mirror > point:
+            count += counts.get(mirror, 0)
+        elif mirror < point and mirror in counts:
+            continue  # evaluated with its mirror
+        x, y, z = u - SPOT_CHECK_RANGE, v - SPOT_CHECK_RANGE, w - SPOT_CHECK_RANGE
         images = (x * x, 2 * x * y, 2 * x * z + y * y, 2 * y * z, z * z, 4 * x * z - y * y)
         for k, formula in enumerate(formulas):
             if formula(*images) != 0:
                 failures[k] += count
-    substitution = quotient_map_substitution()
+    substituted = substitute_all(invariant_ideal_generators()[:limit], quotient_map_substitution())
     checks = tuple(
-        GeneratorCheck(k + 1, generator.substitute(substitution).is_zero, samples, failures[k])
-        for k, generator in enumerate(invariant_ideal_generators()[:limit])
+        GeneratorCheck(k + 1, image.is_zero, samples, failures[k])
+        for k, image in enumerate(substituted)
     )
     return IdealVerification(seed, samples, checks)
 
 
 def quotient_images_sign_invariant() -> bool:
-    """Every image polynomial is fixed by (x, y, z) -> (-x, -y, -z)."""
-    x, y, z = variables("x y z")
-    flip = {"x": -x, "y": -y, "z": -z}
-    return all(p.substitute(flip) == p for p in quotient_map_substitution().values())
+    """Every image polynomial is fixed by (x, y, z) -> (-x, -y, -z).
+
+    The images are polynomials in x, y and z.  The flip multiplies a term of
+    total degree n by (-1)^n, and distinct terms cannot cancel, so an image is
+    fixed iff every one of its terms has even total degree.
+    """
+    return all(
+        sum(exps) % 2 == 0
+        for image in quotient_map_substitution().values()
+        for exps in image.terms
+    )
 
 
 def quadric_family(k: int) -> Poly:
-    """The family member ``4xz - y^2 - delta^k``."""
+    """The family member ``4xz - y^2 - delta^k``.
+
+    Exponents are listed over (delta, x, y, z); at k = 0 the last term is the
+    constant -1, and delta drops out.
+    """
     if type(k) is not int or k < 0:
         raise ValueError("k must be a nonnegative integer")
-    x, y, z = variables("x y z")
-    delta = Poly.variable("delta")
-    return 4 * x * z - y**2 - delta**k
+    return Poly(("delta",) + _XYZ, {(0, 1, 0, 1): 4, (0, 0, 2, 0): -1, (k, 0, 0, 0): -1})
 
 
 def quadric_family_sanity() -> bool:
-    """Structural checks for the first family members and one exact root."""
-    x, y, z = variables("x y z")
-    delta = Poly.variable("delta")
+    """Structural checks for the first family members and one exact root.
+
+    The expected members are written over other variable orders, so the
+    comparison also checks that the tables are canonical.
+    """
     return (
-        quadric_family(0) == 4 * x * z - y**2 - 1
-        and quadric_family(1) == 4 * x * z - y**2 - delta
+        quadric_family(0) == Poly(("z", "y", "x"), {(1, 0, 1): 4, (0, 2, 0): -1, (0, 0, 0): -1})
+        and quadric_family(1)
+        == Poly(_XYZ + ("delta",), {(1, 0, 1, 0): 4, (0, 2, 0, 0): -1, (0, 0, 0, 1): -1})
         and quadric_family(2).evaluate({"x": 1, "y": 2, "z": 2, "delta": 2}) == 0
     )
 

@@ -6,14 +6,19 @@ lattice points are found by scanning the bounding box of the fundamental
 parallelepiped, group structure is read off by literally iterating the group
 law, fan validity and lattice equivalences are decided by ``Fraction``
 Gaussian elimination, and polynomial substitution multiplies out one term at
-a time with the ``Poly`` ring operations.  Slow and dumb on purpose.
+a time with the ring operations of ``RingPoly``, a ``Poly`` whose operators
+work on monomials keyed by (variable, exponent) pairs, independently of the
+library's term tables.  Slow and dumb on purpose.
 
 The one exception is ``quotient_type_by_smith_form``, the general Smith
 normal form route that ``quotients.quotient_type`` took before its closed
 form, kept as a cross-check on orders far beyond the reach of the
 parallelepiped scan.  ``generators_by_operators`` and ``images_by_operators``
-build the invariant-ideal generators and the quotient map with ``Poly``
-operators, as ``sl2`` did before its literal term tables.
+build the invariant-ideal generators and the quotient map with ``RingPoly``
+operators, as ``sl2`` did before its literal term tables, and
+``quadric_family_by_operators``, ``sign_invariant_by_flip`` and
+``spot_check_failures_by_point`` are the ``sl2`` routes that the quadric
+table, the parity test and the folded spot-check replaced.
 ``cone_records_by_cones`` builds ``analyze``'s per-cone records as it did
 before it read them from ``validate_fan``'s kernels: a checked ``Cone`` per
 maximal cone, then its own determinant and adjugate, classified without the
@@ -23,6 +28,7 @@ sign flip of the inward normals.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -35,7 +41,7 @@ from toricctl.quotients import (
     normalize_type,
     quotient_type_from_adjugate,
 )
-from toricctl.sl2 import Poly, variables
+from toricctl.sl2 import SPOT_CHECK_RANGE, Poly
 from toricctl.varieties import ConeRecord
 
 
@@ -480,15 +486,100 @@ def is_row_hnf(h) -> bool:
     return True
 
 
+def _monomials(poly: Poly) -> dict:
+    """The terms of ``poly`` keyed by their sorted (variable, exponent) pairs."""
+    return {
+        tuple(sorted((name, e) for name, e in zip(poly.variables, exps) if e)): c
+        for exps, c in poly.terms.items()
+    }
+
+
+def _from_monomials(monomials: dict) -> "RingPoly":
+    names = sorted({name for mono in monomials for name, _ in mono})
+    terms: dict[tuple[int, ...], int] = {}
+    for mono, c in monomials.items():
+        powers = dict(mono)
+        key = tuple(powers.get(name, 0) for name in names)
+        terms[key] = terms.get(key, 0) + c
+    return RingPoly(names, terms)
+
+
+class RingPoly(Poly):
+    """A ``Poly`` with the ring operators ``+``, ``-``, ``*`` and ``**``.
+
+    The other operand may be an int or any ``Poly``, so a library result can
+    meet a ``RingPoly`` on either side; two plain ``Poly`` values are lifted
+    with ``ring`` first."""
+
+    __slots__ = ()
+
+    def __add__(self, other) -> "RingPoly":
+        out = _monomials(self)
+        for mono, c in _monomials(ring(other)).items():
+            out[mono] = out.get(mono, 0) + c
+        return _from_monomials(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RingPoly":
+        return RingPoly(self.variables, {exps: -c for exps, c in self.terms.items()})
+
+    def __sub__(self, other) -> "RingPoly":
+        return self + (-ring(other))
+
+    def __rsub__(self, other) -> "RingPoly":
+        return ring(other) + (-self)
+
+    def __mul__(self, other) -> "RingPoly":
+        right = _monomials(ring(other))
+        out: dict = {}
+        for m1, c1 in _monomials(self).items():
+            for m2, c2 in right.items():
+                powers = Counter(dict(m1))
+                powers.update(dict(m2))
+                mono = tuple(sorted(powers.items()))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return _from_monomials(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "RingPoly":
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError("polynomial powers must be nonnegative integers")
+        result = ring(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+
+def ring(value) -> RingPoly:
+    """An int or a ``Poly`` as a ``RingPoly``."""
+    if isinstance(value, RingPoly):
+        return value
+    if isinstance(value, Poly):
+        return RingPoly(value.variables, value.terms)
+    if isinstance(value, int):
+        return RingPoly((), {(): value})
+    raise TypeError(f"cannot coerce {value!r} to a polynomial")
+
+
+def variables(names: str) -> tuple[RingPoly, ...]:
+    """Convenience: ``a, b = variables("a b")``."""
+    return tuple(RingPoly((name,), {(1,): 1}) for name in names.split())
+
+
 def substitute_term_by_term(poly: Poly, assignment) -> Poly:
-    """``poly.substitute(assignment)`` with one ``Poly`` product per factor:
-    each term is its coefficient times ``image ** e`` for every variable, and
-    the terms are summed one ``Poly`` addition at a time.  Variables missing
-    from the assignment map to themselves."""
-    images = {name: assignment.get(name, Poly.variable(name)) for name in poly.variables}
-    acc = Poly.constant(0)
+    """``poly.substitute(assignment)`` with one ``RingPoly`` product per
+    factor: each term is its coefficient times ``image ** e`` for every
+    variable, and the terms are summed one addition at a time.  Variables
+    missing from the assignment map to themselves."""
+    images = {
+        name: ring(assignment[name]) if name in assignment else variables(name)[0]
+        for name in poly.variables
+    }
+    acc = ring(0)
     for exps, c in sorted(poly.terms.items()):
-        term = Poly.constant(c)
+        term = ring(c)
         for name, e in zip(poly.variables, exps):
             if e:
                 term = term * images[name] ** e
@@ -497,7 +588,7 @@ def substitute_term_by_term(poly: Poly, assignment) -> Poly:
 
 
 def generators_by_operators() -> tuple[Poly, ...]:
-    """The six invariant-ideal generators, multiplied out by ``Poly`` operators."""
+    """The six invariant-ideal generators, multiplied out by ``RingPoly`` operators."""
     a, b, c, d, e, delta = variables("a b c d e delta")
     return (
         3 * d**2 - 8 * c * e + 4 * delta * e,
@@ -510,7 +601,7 @@ def generators_by_operators() -> tuple[Poly, ...]:
 
 
 def images_by_operators() -> dict[str, Poly]:
-    """The quotient map's images of a..e and delta, multiplied out by ``Poly`` operators."""
+    """The quotient map's images of a..e and delta, multiplied out by ``RingPoly`` operators."""
     x, y, z = variables("x y z")
     return {
         "a": x**2,
@@ -520,3 +611,32 @@ def images_by_operators() -> dict[str, Poly]:
         "e": z**2,
         "delta": 4 * x * z - y**2,
     }
+
+
+def quadric_family_by_operators(k: int) -> Poly:
+    """The family member ``4xz - y^2 - delta^k``, multiplied out by ``RingPoly`` operators."""
+    x, y, z, delta = variables("x y z delta")
+    return 4 * x * z - y**2 - delta**k
+
+
+def sign_invariant_by_flip(images) -> bool:
+    """Every polynomial of ``images`` is fixed by substituting (-x, -y, -z)."""
+    x, y, z = variables("x y z")
+    flip = {"x": -x, "y": -y, "z": -z}
+    return all(substitute_term_by_term(p, flip) == p for p in images.values())
+
+
+def spot_check_failures_by_point(seed: int, samples: int, formulas) -> list[int]:
+    """How many of the ``samples`` seeded spot-check points fail each formula.
+
+    Every point is drawn with ``randint`` and evaluated on its own, with no
+    deduplication and no folding of p with -p."""
+    rng = random.Random(seed)
+    failures = [0] * len(formulas)
+    for _ in range(samples):
+        x, y, z = (rng.randint(-SPOT_CHECK_RANGE, SPOT_CHECK_RANGE) for _ in range(3))
+        images = (x * x, 2 * x * y, 2 * x * z + y * y, 2 * y * z, z * z, 4 * x * z - y * y)
+        for k, formula in enumerate(formulas):
+            if formula(*images) != 0:
+                failures[k] += 1
+    return failures

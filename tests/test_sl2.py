@@ -1,44 +1,54 @@
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tests.oracles import generators_by_operators, images_by_operators, substitute_term_by_term
+from tests.oracles import (
+    generators_by_operators,
+    images_by_operators,
+    quadric_family_by_operators,
+    ring,
+    sign_invariant_by_flip,
+    spot_check_failures_by_point,
+    substitute_term_by_term,
+    variables,
+)
 from toricctl import sl2
 from toricctl.sl2 import (
     DEFAULT_SPOT_CHECK_SEED,
     Poly,
     invariant_ideal_generators,
     quadric_family,
+    quadric_family_sanity,
     quotient_images_sign_invariant,
     quotient_map_substitution,
     rep_weights,
-    variables,
+    substitute_all,
     verify_invariant_ideal,
 )
 
 X, Y, Z = variables("x y z")
+W, T2, DELTA = variables("w t2 delta")
 
 
 def small_polys():
     names = st.sampled_from(("x", "y", "z"))
     monomials = st.tuples(names, st.integers(0, 3), st.integers(-5, 5))
     return st.lists(monomials, max_size=4).map(
-        lambda parts: sum(
-            (c * Poly.variable(n) ** e for n, e, c in parts), Poly.constant(0)
-        )
+        lambda parts: sum((c * variables(n)[0] ** e for n, e, c in parts), ring(0))
     )
 
 
-# -- ring basics ------------------------------------------------------------------
+# -- the oracle ring and the library's substitution ----------------------------------
 
 
 def test_add_zero_is_identity():
     p = 3 * X**2 - Y
     assert p + 0 == p
-    assert p + Poly.constant(0) == p
+    assert p + ring(0) == p
 
 
 def test_square_of_sum():
@@ -58,10 +68,10 @@ def test_unused_variables_are_pruned():
 
 
 def test_constant_arithmetic_and_equality():
-    assert Poly.constant(3) + 4 == 7
-    assert Poly.constant(0).is_zero
+    assert ring(3) + 4 == 7
+    assert ring(0).is_zero
     assert (X - X).is_zero
-    assert str(Poly.constant(0)) == "0"
+    assert str(Poly((), {})) == "0"
 
 
 def test_pow_validation():
@@ -82,9 +92,9 @@ def test_ring_axioms(p, q, r):
 @given(small_polys(), small_polys())
 @settings(max_examples=60)
 def test_substitution_is_ring_homomorphism(p, q):
-    sub = {"x": Y + 1, "y": X * Z, "z": Poly.constant(-2)}
-    assert (p + q).substitute(sub) == p.substitute(sub) + q.substitute(sub)
-    assert (p * q).substitute(sub) == p.substitute(sub) * q.substitute(sub)
+    sub = {"x": Y + 1, "y": X * Z, "z": ring(-2)}
+    assert (p + q).substitute(sub) == ring(p.substitute(sub)) + q.substitute(sub)
+    assert (p * q).substitute(sub) == ring(p.substitute(sub)) * q.substitute(sub)
 
 
 @given(small_polys(), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
@@ -92,7 +102,7 @@ def test_substitution_is_ring_homomorphism(p, q):
 def test_evaluate_matches_constant_substitution(p, a, b, c):
     point = {"x": a, "y": b, "z": c}
     value = p.evaluate(point)
-    assert p.substitute({k: Poly.constant(v) for k, v in point.items()}) == value
+    assert p.substitute({k: ring(v) for k, v in point.items()}) == value
 
 
 # Variable names inside and outside the fixed precedence, so that merging the
@@ -109,11 +119,11 @@ def _polys(max_terms: int, max_exponent: int):
     )
 
     def build(parts):
-        total = Poly.constant(0)
+        total = ring(0)
         for powers, c in parts:
-            term = Poly.constant(c)
+            term = ring(c)
             for name, e in powers.items():
-                term = term * Poly.variable(name) ** e
+                term = term * variables(name)[0] ** e
             total = total + term
         return total
 
@@ -123,7 +133,7 @@ def _polys(max_terms: int, max_exponent: int):
 _IMAGES = st.one_of(
     _polys(max_terms=3, max_exponent=2),
     st.integers(-3, 3),
-    st.integers(-3, 3).map(Poly.constant),
+    st.integers(-3, 3).map(ring),
 )
 
 
@@ -132,17 +142,34 @@ _IMAGES = st.one_of(
     st.dictionaries(st.sampled_from(_SUBSTITUTION_NAMES), _IMAGES, max_size=4),
 )
 @settings(max_examples=150, deadline=None)
-@example(Poly.constant(0), {"x": X + Y})
-@example(Poly.constant(-7), {"x": X + Y})
+@example(ring(0), {"x": X + Y})
+@example(ring(-7), {"x": X + Y})
 @example(X**2 * Y - 3 * X + 1, {"x": X + Y})
-@example(X**3 * Poly.variable("w") + Y, {"x": 0, "w": Poly.variable("w") - X})
-@example(Poly.variable("t2") ** 2 - X * Z, {"x": 5, "z": Poly.constant(0)})
+@example(X**3 * W + Y, {"x": 0, "w": W - X})
+@example(T2**2 - X * Z, {"x": 5, "z": ring(0)})
 def test_substitute_matches_term_by_term_oracle(poly, assignment):
     expected = substitute_term_by_term(poly, assignment)
     actual = poly.substitute(assignment)
     assert actual == expected
     assert actual.variables == expected.variables
     assert str(actual) == str(expected)
+
+
+@given(
+    st.lists(_polys(max_terms=4, max_exponent=3), max_size=4),
+    st.dictionaries(st.sampled_from(_SUBSTITUTION_NAMES), _IMAGES, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+@example(list(invariant_ideal_generators()), quotient_map_substitution())
+@example([X**3, X * Y, ring(2)], {"x": Y + 1})
+@example([ring(0), W**2], {"w": 0})
+def test_substitute_all_matches_term_by_term_oracle(polys, assignment):
+    # one power table per image for all the polynomials, each term expanded from it
+    actual = substitute_all(polys, assignment)
+    expected = [substitute_term_by_term(poly, assignment) for poly in polys]
+    assert list(actual) == expected
+    assert [p.variables for p in actual] == [p.variables for p in expected]
+    assert [str(p) for p in actual] == [str(p) for p in expected]
 
 
 def test_evaluate_requires_all_variables():
@@ -209,7 +236,7 @@ def test_quotient_map_images():
 def test_quotient_map_consistency_relation():
     # generator 4 in disguise: (c + delta)^2 = 36 a e on the image
     images = quotient_map_substitution()
-    assert (images["c"] + images["delta"]) ** 2 == 36 * images["a"] * images["e"]
+    assert (ring(images["c"]) + images["delta"]) ** 2 == 36 * ring(images["a"]) * images["e"]
 
 
 def test_all_generators_vanish_symbolically():
@@ -267,9 +294,8 @@ def test_sampling_catches_non_vanishing_polynomials():
     rng = random.Random(DEFAULT_SPOT_CHECK_SEED)
     points = [tuple(rng.randint(-10, 10) for _ in range(3)) for _ in range(100)]
     substitution = quotient_map_substitution()
-    delta = Poly.variable("delta")
     for g in invariant_ideal_generators():
-        perturbed = (g + delta**2).substitute(substitution)
+        perturbed = (g + DELTA**2).substitute(substitution)
         assert not perturbed.is_zero
         witnesses = [
             p for p in points if perturbed.evaluate({"x": p[0], "y": p[1], "z": p[2]}) != 0
@@ -357,6 +383,59 @@ def test_numeric_failures_count_perturbed_points_with_multiplicity(monkeypatch, 
             assert report.all_vanish
 
 
+# (c, i, j) adds c * images[i] * images[j] to a formula; index 6 stands for 1
+_PERTURBATION = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(0, 6), st.integers(0, 6)), max_size=3
+)
+
+
+def _perturbed(perturbations):
+    def make(formula, terms):
+        def perturbed(*images):
+            factors = images + (1,)
+            return formula(*images) + sum(c * factors[i] * factors[j] for c, i, j in terms)
+
+        return perturbed
+
+    return tuple(map(make, sl2._NUMERIC_GENERATORS, perturbations))
+
+
+def _assert_fold_matches_oracle(seed, samples, limit, perturbations):
+    formulas = _perturbed(perturbations)
+    expected = spot_check_failures_by_point(seed, samples, formulas[:limit])
+    with mock.patch.object(sl2, "_NUMERIC_GENERATORS", formulas):
+        report = verify_invariant_ideal(seed=seed, samples=samples, limit=limit)
+    assert [check.numeric_failures for check in report.checks] == expected
+    return expected
+
+
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 600),
+    st.integers(1, 6),
+    st.lists(_PERTURBATION, min_size=6, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_folded_failures_match_the_per_point_oracle(seed, samples, limit, perturbations):
+    _assert_fold_matches_oracle(seed, samples, limit, perturbations)
+
+
+# Seed 0 draws the origin among its first 500 points, seed 2 does not; both
+# draw points without their mirror and pairs p, -p.
+@pytest.mark.parametrize("seed, draws_origin", [(0, True), (2, False)])
+def test_folded_failures_at_the_origin_and_at_unpaired_points(seed, draws_origin):
+    samples = 500
+    points = Counter(_randint_points(seed, samples))
+    mirror = {p: tuple(-c for c in p) for p in points}
+    assert ((0, 0, 0) in points) == draws_origin
+    assert any(mirror[p] not in points for p in points)
+    assert any(mirror[p] in points and mirror[p] != p for p in points)
+    # delta + 1 fails at the origin; a + b - e fails at some points but not all
+    perturbations = [[(1, 5, 6), (1, 6, 6)], [(1, 0, 6), (-1, 4, 6), (1, 1, 6)]] + [[]] * 4
+    failures = _assert_fold_matches_oracle(seed, samples, 6, perturbations)
+    assert 0 < failures[1] < samples and failures[2:] == [0] * 4
+
+
 def test_images_sign_invariant():
     assert quotient_images_sign_invariant()
     flip = {"x": -X, "y": -Y, "z": -Z}
@@ -364,16 +443,50 @@ def test_images_sign_invariant():
         assert image.substitute(flip) == image
 
 
+_XYZ_TABLES = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-3, 3),
+    max_size=4,
+).map(lambda terms: Poly(("x", "y", "z"), terms))
+
+
+@given(st.dictionaries(st.sampled_from(("a", "b", "c", "d", "e", "delta")), _XYZ_TABLES, max_size=6))
+@settings(max_examples=80, deadline=None)
+@example(quotient_map_substitution())
+@example({"a": X**2, "b": X * Y + Z})
+@example({"c": ring(5), "d": X * Y * Z})
+def test_sign_invariance_by_parity_matches_the_flip(images):
+    # the tables hold odd-degree terms, so both verdicts are drawn
+    with mock.patch.object(sl2, "quotient_map_substitution", lambda: images):
+        assert quotient_images_sign_invariant() == sign_invariant_by_flip(images)
+
+
+def test_sign_invariance_oracle_sees_both_verdicts():
+    assert sign_invariant_by_flip(quotient_map_substitution())
+    assert not sign_invariant_by_flip({"a": X**2, "b": X * Y + Z})
+    with mock.patch.object(sl2, "quotient_map_substitution", lambda: {"b": X * Y + Z}):
+        assert not quotient_images_sign_invariant()
+
+
 # -- quadric family and representation weights ------------------------------------------
 
 
 def test_quadric_family_examples():
-    delta = Poly.variable("delta")
     assert quadric_family(0) == 4 * X * Z - Y**2 - 1
-    assert quadric_family(1) == 4 * X * Z - Y**2 - delta
+    assert quadric_family(1) == 4 * X * Z - Y**2 - DELTA
     assert quadric_family(2).evaluate({"x": 1, "y": 2, "z": 2, "delta": 2}) == 0
     with pytest.raises(ValueError):
         quadric_family(-1)
+
+
+def test_quadric_family_table_matches_operators():
+    for k in range(9):
+        actual, expected = quadric_family(k), quadric_family_by_operators(k)
+        assert actual == expected, k
+        assert actual.variables == expected.variables
+        assert str(actual) == str(expected)
+    assert quadric_family(0).variables == ("x", "y", "z")  # delta^0 is the constant -1
+    assert quadric_family_sanity()
 
 
 def test_rep_weights_examples():
